@@ -5,12 +5,15 @@
 //! faster `encode_batch` (the table-driven single-pass plan the server's
 //! micro-batcher calls) processes a set of request payloads than calling
 //! `encode_tensor` once per payload, exactly as an unbatched server
-//! would. The server section reports real requests/sec and client-side
-//! p50/p99 latency over concurrent loopback connections. Set
-//! `SPARK_BENCH_JSON=<path>` to write `BENCH_serve.json`; CI greps the
-//! numeric fields and gates on the speedup.
+//! would. The server section reports real requests/sec, client-side
+//! p50/p99 latency and the mean batch size over concurrent loopback
+//! connections. The lone-client section times back-to-back requests from
+//! one sequential client, the case where the micro-batcher finds no
+//! company: `lone_encode_p50_us` must stay far below any batching timer.
+//! Set `SPARK_BENCH_JSON=<path>` to write `BENCH_serve.json`; CI greps the
+//! numeric fields and gates on the speedup and the lone-request p50.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use spark_codec::{encode_batch, encode_tensor};
 use spark_serve::http::client_request;
@@ -83,6 +86,27 @@ struct ServerNumbers {
     requests: usize,
     requests_per_sec: f64,
     latency: Histogram,
+    batch_size_mean: f64,
+}
+
+fn start_server() -> Server {
+    Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 4,
+        queue_depth: 64,
+        max_batch: 16,
+        ..ServeConfig::default()
+    })
+    .expect("bind loopback")
+}
+
+/// One `/v1/encode` round trip of `values` as an f32 octet stream.
+fn post_encode(addr: &str, values: &[f32]) {
+    let body: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let (status, _) =
+        client_request(addr, "POST", "/v1/encode", "application/octet-stream", &body)
+            .expect("loopback request");
+    assert_eq!(status, 200);
 }
 
 /// End-to-end: concurrent loopback clients against a live server, the
@@ -92,15 +116,7 @@ fn bench_server_round_trips() -> ServerNumbers {
     let clients = 8;
     let per_client = if quick { 8 } else { 40 };
 
-    let server = Server::start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 4,
-        queue_depth: 64,
-        batch_window: Duration::from_millis(1),
-        max_batch: 16,
-        ..ServeConfig::default()
-    })
-    .expect("bind loopback");
+    let server = start_server();
     let addr = server.addr().to_string();
 
     let latency = std::sync::Arc::new(Histogram::new());
@@ -111,18 +127,9 @@ fn bench_server_round_trips() -> ServerNumbers {
             let latency = std::sync::Arc::clone(&latency);
             std::thread::spawn(move || {
                 for r in 0..per_client {
-                    let values = payloads(1, 1024 + c * 64 + r)[0].clone();
-                    let body: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+                    let values = payloads(1, 1024 + c * 64 + r).remove(0);
                     let t0 = Instant::now();
-                    let (status, _) = client_request(
-                        &addr,
-                        "POST",
-                        "/v1/encode",
-                        "application/octet-stream",
-                        &body,
-                    )
-                    .expect("loopback request");
-                    assert_eq!(status, 200);
+                    post_encode(&addr, &values);
                     latency.record((t0.elapsed().as_micros() as u64).max(1));
                 }
             })
@@ -132,21 +139,44 @@ fn bench_server_round_trips() -> ServerNumbers {
         t.join().expect("client thread");
     }
     let elapsed = started.elapsed().as_secs_f64();
+    let batching = &server.metrics().batch_size;
+    let batch_size_mean = batching.sum() as f64 / batching.count().max(1) as f64;
     server.shutdown();
     server.join();
 
     let total = clients * per_client;
     let rps = total as f64 / elapsed;
     println!(
-        "serve/http_encode: {total} requests, {clients} clients: {rps:.0} req/s, p50 {} us, p99 {} us",
+        "serve/http_encode: {total} requests, {clients} clients: {rps:.0} req/s, p50 {} us, p99 {} us, batch mean {batch_size_mean:.2}",
         latency.quantile(0.5),
         latency.quantile(0.99)
     );
     let latency = std::sync::Arc::try_unwrap(latency).ok().expect("threads joined");
-    ServerNumbers { clients, requests: total, requests_per_sec: rps, latency }
+    ServerNumbers { clients, requests: total, requests_per_sec: rps, latency, batch_size_mean }
 }
 
-fn write_bench_json(encode: &EncodeNumbers, server: &ServerNumbers) {
+/// Sequential single client: each 4096-value encode is sent only after
+/// the previous response, so every request reaches an idle batcher alone.
+/// Its p50 is the serving path's fixed cost for a lone request.
+fn bench_lone_encode() -> u64 {
+    let requests = 200;
+    let server = start_server();
+    let addr = server.addr().to_string();
+    let values = payloads(1, 4096).remove(0);
+    let latency = Histogram::new();
+    for _ in 0..requests {
+        let t0 = Instant::now();
+        post_encode(&addr, &values);
+        latency.record((t0.elapsed().as_micros() as u64).max(1));
+    }
+    server.shutdown();
+    server.join();
+    let p50 = latency.quantile(0.5);
+    println!("serve/lone_encode: {requests} sequential 4096-value requests, p50 {p50} us");
+    p50
+}
+
+fn write_bench_json(encode: &EncodeNumbers, server: &ServerNumbers, lone_encode_p50_us: u64) {
     let Some(path) = std::env::var_os("SPARK_BENCH_JSON") else {
         return;
     };
@@ -164,8 +194,10 @@ fn write_bench_json(encode: &EncodeNumbers, server: &ServerNumbers) {
                 ("requests", Value::Num(server.requests as f64)),
                 ("requests_per_sec", Value::Num(server.requests_per_sec)),
                 ("latency_us", server.latency.to_json()),
+                ("batch_size_mean", Value::Num(server.batch_size_mean)),
             ]),
         ),
+        ("lone_encode_p50_us", Value::Num(lone_encode_p50_us as f64)),
     ]);
     std::fs::write(&path, doc.to_string_pretty() + "\n").expect("write SPARK_BENCH_JSON");
     println!("wrote {}", path.to_string_lossy());
@@ -174,5 +206,6 @@ fn write_bench_json(encode: &EncodeNumbers, server: &ServerNumbers) {
 fn main() {
     let encode = bench_encode_paths();
     let server = bench_server_round_trips();
-    write_bench_json(&encode, &server);
+    let lone = bench_lone_encode();
+    write_bench_json(&encode, &server, lone);
 }

@@ -56,7 +56,7 @@ fn main() -> ExitCode {
             eprintln!("  analyze [--json] <input.f32>");
             eprintln!("  simulate [--json] <model> [accelerator]");
             eprintln!("  profile <model>");
-            eprintln!("  serve [--addr A] [--workers N] [--shards N] [--shard-workers N] [--quota UNITS_PER_S] [--batch N] [--window-us N] [--queue N] [--store DIR] [--smoke]");
+            eprintln!("  serve [--addr A] [--workers N] [--shards N] [--shard-workers N] [--quota UNITS_PER_S] [--batch N] [--queue N] [--store DIR] [--smoke]");
             eprintln!("  load  [--smoke] [--schedule-only] [--addr A] [--seed N] [--rps R] [--flood-rps R] [--duration-ms N] [--tenants N] [--skew S] [--injectors N] [--shards N] [--quota U] [--tensor-mix F] [--store DIR] [--out FILE]");
             eprintln!("  router --backends A,B,... [--addr A] [--workers N] [--probe-ms N] [--retries N] [--retry-budget RPS] [--seed N]");
             eprintln!("  router --bench-kill [--seed N] [--out FILE]");
@@ -246,10 +246,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
     }
     if let Some(batch) = take_option(&mut args, "--batch")? {
         config.max_batch = batch.parse().map_err(|_| format!("bad --batch {batch:?}"))?;
-    }
-    if let Some(us) = take_option(&mut args, "--window-us")? {
-        let us: u64 = us.parse().map_err(|_| format!("bad --window-us {us:?}"))?;
-        config.batch_window = Duration::from_micros(us);
     }
     if let Some(queue) = take_option(&mut args, "--queue")? {
         config.queue_depth = queue.parse().map_err(|_| format!("bad --queue {queue:?}"))?;
@@ -472,7 +468,6 @@ fn cmd_load(args: &[String]) -> CliResult {
                 shard_queue: 16,
                 quota_rps: quota,
                 quota_burst: quota / 2.0,
-                batch_window: Duration::from_millis(1),
                 max_batch: 16,
                 store_dir: ephemeral_store.clone(),
                 ..ServeConfig::default()

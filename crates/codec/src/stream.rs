@@ -6,6 +6,7 @@
 //! [`encode_tensor`] / [`decode_stream`] convert between raw `u8` code words
 //! and the packed representation.
 
+use std::sync::OnceLock;
 
 use crate::compensation::EncodeMode;
 use crate::decoder::{DecodeError, SparkDecoder};
@@ -246,6 +247,19 @@ impl EncodePlan {
         Self { mode, table }
     }
 
+    /// The process-wide plan for `mode`, built on first use. The table
+    /// depends on nothing but the mode, so callers on hot paths share one
+    /// instead of rebuilding 256 entries per call.
+    pub fn cached(mode: EncodeMode) -> &'static EncodePlan {
+        static COMPENSATED: OnceLock<EncodePlan> = OnceLock::new();
+        static TRUNCATED: OnceLock<EncodePlan> = OnceLock::new();
+        let cell = match mode {
+            EncodeMode::Compensated => &COMPENSATED,
+            EncodeMode::Truncated => &TRUNCATED,
+        };
+        cell.get_or_init(|| EncodePlan::new(mode))
+    }
+
     /// The mode this plan encodes under.
     pub fn mode(&self) -> EncodeMode {
         self.mode
@@ -296,7 +310,7 @@ impl EncodePlan {
 /// Encodes a batch of tensors in one call under the paper's default
 /// compensated mode — the arity the serving layer's micro-batcher feeds.
 ///
-/// The per-byte encoding table is built once for the whole batch and the
+/// The per-byte encoding table is shared ([`EncodePlan::cached`]) and the
 /// tensors fan out over [`spark_util::par_map`] (a no-op split on one
 /// core, a row fan-out on many). Results come back in input order, each
 /// bit-identical to what [`encode_tensor`] returns for that tensor.
@@ -306,7 +320,7 @@ pub fn encode_batch(tensors: &[&[u8]]) -> Vec<EncodedTensor> {
 
 /// [`encode_batch`] under an explicit [`EncodeMode`].
 pub fn encode_batch_with(tensors: &[&[u8]], mode: EncodeMode) -> Vec<EncodedTensor> {
-    let plan = EncodePlan::new(mode);
+    let plan = EncodePlan::cached(mode);
     spark_util::par_map(tensors, |t| plan.encode(t))
 }
 
@@ -673,6 +687,17 @@ mod tests {
                 decode_stream(&back.stream).unwrap(),
                 round_trip(values, EncodeMode::Compensated)
             );
+        }
+    }
+
+    #[test]
+    fn cached_plan_is_one_per_mode_and_matches_a_fresh_plan() {
+        let all: Vec<u8> = (0u16..=255).map(|v| v as u8).collect();
+        for mode in [EncodeMode::Compensated, EncodeMode::Truncated] {
+            let cached = EncodePlan::cached(mode);
+            assert!(std::ptr::eq(cached, EncodePlan::cached(mode)));
+            assert_eq!(cached.mode(), mode);
+            assert_eq!(cached.encode(&all), EncodePlan::new(mode).encode(&all));
         }
     }
 

@@ -86,7 +86,6 @@ pub fn serve_chaos() -> Result<Value, String> {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_depth: 16,
-        batch_window: Duration::from_millis(1),
         max_batch: 8,
         request_deadline: CHAOS_DEADLINE,
         chaos_endpoints: true,
@@ -254,7 +253,6 @@ pub fn shard_chaos() -> Result<Value, String> {
         shard_workers: WORKERS_PER_SHARD,
         queue_depth: 32,
         shard_queue: 16,
-        batch_window: Duration::from_millis(1),
         max_batch: 8,
         chaos_endpoints: true,
         ..ServeConfig::default()

@@ -1,17 +1,17 @@
-//! Adaptive micro-batching.
+//! Work-conserving micro-batching.
 //!
 //! A [`Batcher`] owns one background thread and a bounded job channel.
 //! Worker threads submit single inputs and block on a per-job [`Slot`];
 //! the batcher thread coalesces whatever is queued into one call of the
-//! batch function and fans the results back out. The coalescing policy
-//! is adaptive:
+//! batch function and fans the results back out. It never waits on a
+//! timer:
 //!
 //! 1. Take the first job (blocking — an idle batcher costs nothing).
 //! 2. Drain everything already queued, up to `max_batch`.
-//! 3. Only if the job is still alone, wait up to `window` for company —
-//!    a lone request under light load pays at most `window` extra
-//!    latency, while under heavy load step 2 always finds a full batch
-//!    and the window never triggers.
+//! 3. Run the batch at once. Jobs that arrive while it runs queue up and
+//!    become the next batch, so the batch function's own run time is the
+//!    only coalescing window: zero at light load (a lone request runs as
+//!    a batch of 1), full batches under heavy load.
 //!
 //! Shutdown is channel-drop driven: dropping the last [`Batcher`] handle
 //! closes the channel, the thread drains remaining jobs, runs them, and
@@ -21,7 +21,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use spark_util::par::{channel, RecvTimeoutError, Sender};
+use spark_util::par::{channel, Sender};
 
 /// One-shot response cell a submitting thread parks on.
 pub struct Slot<R> {
@@ -85,8 +85,7 @@ impl<T: Send + 'static, R: Send + 'static> Batcher<T, R> {
     /// Spawns the batcher thread.
     ///
     /// `run` maps a batch of inputs to a same-length vector of results,
-    /// in order. `window` is the extra time a lone job waits for
-    /// company; `max_batch` caps coalescing; `queue` bounds the job
+    /// in order. `max_batch` caps coalescing; `queue` bounds the job
     /// channel (submitting past it blocks, propagating backpressure to
     /// the connection queue).
     ///
@@ -95,7 +94,6 @@ impl<T: Send + 'static, R: Send + 'static> Batcher<T, R> {
     /// Thread-spawn failure (resource exhaustion at startup).
     pub fn spawn(
         name: &str,
-        window: Duration,
         max_batch: usize,
         queue: usize,
         run: impl Fn(Vec<T>) -> Vec<R> + Send + 'static,
@@ -111,20 +109,6 @@ impl<T: Send + 'static, R: Send + 'static> Batcher<T, R> {
                         match rx.try_recv() {
                             Some(job) => jobs.push(job),
                             None => break,
-                        }
-                    }
-                    if jobs.len() == 1 && !window.is_zero() {
-                        let deadline = Instant::now() + window;
-                        while jobs.len() < max_batch {
-                            let now = Instant::now();
-                            if now >= deadline {
-                                break;
-                            }
-                            match rx.recv_timeout(deadline - now) {
-                                Ok(job) => jobs.push(job),
-                                Err(RecvTimeoutError::Timeout)
-                                | Err(RecvTimeoutError::Disconnected) => break,
-                            }
                         }
                     }
                     let (inputs, slots): (Vec<T>, Vec<Arc<Slot<R>>>) =
@@ -170,63 +154,66 @@ impl<T: Send + 'static, R: Send + 'static> Batcher<T, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     const WAIT: Duration = Duration::from_secs(10);
 
-    #[test]
-    fn single_job_runs_after_window() {
-        let b = Batcher::spawn("t1", Duration::from_millis(5), 8, 16, |xs: Vec<u32>| {
-            xs.into_iter().map(|x| x * 2).collect()
-        })
-        .unwrap();
-        let slot = b.submit(21).unwrap();
-        assert_eq!(slot.wait_timeout(WAIT), Some(42));
-        b.join();
-    }
-
-    #[test]
-    fn queued_jobs_coalesce_and_results_route_to_their_slots() {
-        let sizes = Arc::new(Mutex::new(Vec::new()));
-        let sizes2 = Arc::clone(&sizes);
-        // A long window so concurrent submissions coalesce deterministically.
-        let b = Batcher::spawn("t2", Duration::from_millis(200), 64, 64, move |xs: Vec<u32>| {
-            sizes2.lock().unwrap().push(xs.len());
+    /// Runs job 0 through a batcher whose first batch call blocks until
+    /// released, queues `queued` more jobs behind it, releases it, and
+    /// checks every result (`input + 1000`) landed in its own slot. The
+    /// channels fix the interleaving, so the returned batches (the inputs
+    /// of each batch call, in order) do not depend on timing.
+    fn run_gated(name: &str, max_batch: usize, queued: u32) -> Vec<Vec<u32>> {
+        let (started_tx, started) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let batches = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&batches);
+        let b = Batcher::spawn(name, max_batch, 64, move |xs: Vec<u32>| {
+            let first = {
+                let mut log = log.lock().unwrap();
+                log.push(xs.clone());
+                log.len() == 1
+            };
+            if first {
+                started_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            }
             xs.into_iter().map(|x| x + 1000).collect()
         })
         .unwrap();
-        let slots: Vec<_> = (0..16u32).map(|i| b.submit(i).unwrap()).collect();
+        let mut slots = vec![b.submit(0).unwrap()];
+        started.recv_timeout(WAIT).unwrap();
+        slots.extend((1..=queued).map(|i| b.submit(i).unwrap()));
+        release.send(()).unwrap();
         for (i, slot) in slots.into_iter().enumerate() {
             assert_eq!(slot.wait_timeout(WAIT), Some(i as u32 + 1000));
         }
-        let sizes = sizes.lock().unwrap().clone();
-        assert_eq!(sizes.iter().sum::<usize>(), 16);
-        assert!(
-            sizes.iter().any(|&s| s > 1),
-            "16 near-simultaneous jobs should produce at least one real batch, got {sizes:?}"
-        );
         b.join();
+        let batches = batches.lock().unwrap().clone();
+        batches
+    }
+
+    #[test]
+    fn lone_job_runs_as_a_batch_of_one() {
+        assert_eq!(run_gated("lone", 8, 0), vec![vec![0]]);
+    }
+
+    #[test]
+    fn jobs_queued_behind_a_running_batch_form_the_next_batch() {
+        assert_eq!(run_gated("coalesce", 64, 5), vec![vec![0], vec![1, 2, 3, 4, 5]]);
     }
 
     #[test]
     fn max_batch_caps_coalescing() {
-        let sizes = Arc::new(Mutex::new(Vec::new()));
-        let sizes2 = Arc::clone(&sizes);
-        let b = Batcher::spawn("t3", Duration::from_millis(50), 4, 64, move |xs: Vec<u32>| {
-            sizes2.lock().unwrap().push(xs.len());
-            xs
-        })
-        .unwrap();
-        let slots: Vec<_> = (0..12u32).map(|i| b.submit(i).unwrap()).collect();
-        for slot in slots {
-            assert!(slot.wait_timeout(WAIT).is_some());
-        }
-        assert!(sizes.lock().unwrap().iter().all(|&s| s <= 4));
-        b.join();
+        assert_eq!(
+            run_gated("cap", 4, 10),
+            vec![vec![0], vec![1, 2, 3, 4], vec![5, 6, 7, 8], vec![9, 10]]
+        );
     }
 
     #[test]
     fn join_drains_pending_jobs() {
-        let b = Batcher::spawn("t4", Duration::ZERO, 8, 64, |xs: Vec<u32>| xs).unwrap();
+        let b = Batcher::spawn("t4", 8, 64, |xs: Vec<u32>| xs).unwrap();
         let slots: Vec<_> = (0..8u32).map(|i| b.submit(i).unwrap()).collect();
         b.join();
         for (i, slot) in slots.into_iter().enumerate() {
@@ -236,7 +223,7 @@ mod tests {
 
     #[test]
     fn submit_after_join_reports_shutdown() {
-        let b = Batcher::spawn("t5", Duration::ZERO, 8, 64, |xs: Vec<u32>| xs).unwrap();
+        let b = Batcher::spawn("t5", 8, 64, |xs: Vec<u32>| xs).unwrap();
         let b2 = b.clone();
         b.join();
         b2.join();

@@ -14,7 +14,7 @@
 //! - [`http`] — request parsing, response writing, a tiny test client.
 //! - [`io`] — streaming raw-f32 input shared with the CLI.
 //! - [`api`] — JSON schemas shared with the CLI's `--json` mode.
-//! - [`batch`] — the generic adaptive micro-batcher.
+//! - [`batch`] — the generic work-conserving micro-batcher.
 //! - [`load`] — the deterministic open-loop load harness.
 //! - [`metrics`] — lock-free counters and latency/batch histograms.
 //! - [`shard`] — consistent-hash tenant routing and token-bucket quotas.
@@ -72,7 +72,6 @@ pub fn smoke() -> Result<(), String> {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_depth: 16,
-        batch_window: std::time::Duration::from_millis(1),
         max_batch: 8,
         ..ServeConfig::default()
     })

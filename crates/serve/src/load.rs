@@ -933,7 +933,6 @@ mod tests {
             shard_workers: 2,
             queue_depth: 64,
             shard_queue: 32,
-            batch_window: Duration::from_millis(1),
             max_batch: 8,
             ..ServeConfig::default()
         })
@@ -1013,7 +1012,6 @@ mod tests {
             shard_queue: 32,
             quota_rps: 20.0,
             quota_burst: 5.0,
-            batch_window: Duration::from_millis(1),
             max_batch: 8,
             ..ServeConfig::default()
         })

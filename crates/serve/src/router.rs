@@ -641,7 +641,6 @@ mod tests {
             shard_workers: 2,
             queue_depth: 64,
             shard_queue: 32,
-            batch_window: Duration::from_millis(1),
             max_batch: 8,
             ..ServeConfig::default()
         })
@@ -812,7 +811,6 @@ mod tests {
             shard_workers: 2,
             queue_depth: 64,
             shard_queue: 32,
-            batch_window: Duration::from_millis(1),
             max_batch: 8,
             ..ServeConfig::default()
         })

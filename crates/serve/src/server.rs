@@ -84,8 +84,6 @@ pub struct ServeConfig {
     pub quota_rps: f64,
     /// Per-tenant banked cost units on top of `quota_rps`.
     pub quota_burst: f64,
-    /// Extra time a lone batched request waits for company.
-    pub batch_window: Duration,
     /// Max requests coalesced into one batched library call.
     pub max_batch: usize,
     /// Request body cap in bytes.
@@ -115,7 +113,6 @@ impl Default for ServeConfig {
             shard_queue: 32,
             quota_rps: 0.0,
             quota_burst: 16.0,
-            batch_window: Duration::from_millis(2),
             max_batch: 32,
             max_body_bytes: 16 * 1024 * 1024,
             request_deadline: http::REQUEST_DEADLINE,
@@ -253,7 +250,6 @@ impl Server {
                 let metrics = Arc::clone(&metrics);
                 Batcher::spawn(
                     &format!("encode-{id}"),
-                    config.batch_window,
                     config.max_batch,
                     batch_queue,
                     move |jobs: Vec<(Vec<u8>, f32)>| {
@@ -272,7 +268,6 @@ impl Server {
                 let metrics = Arc::clone(&metrics);
                 Batcher::spawn(
                     &format!("decode-{id}"),
-                    config.batch_window,
                     config.max_batch,
                     batch_queue,
                     move |jobs: Vec<NibbleStream>| {
@@ -293,7 +288,6 @@ impl Server {
                 let sim_config = sim_config.clone();
                 Batcher::spawn(
                     &format!("simulate-{id}"),
-                    config.batch_window,
                     config.max_batch,
                     batch_queue,
                     move |jobs: Vec<SimJob>| {
@@ -1239,7 +1233,6 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue_depth: 16,
-            batch_window: Duration::from_millis(1),
             max_batch: 8,
             ..ServeConfig::default()
         })
@@ -1333,7 +1326,6 @@ mod tests {
         let server = Server::start(ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
-            batch_window: Duration::from_millis(1),
             store_dir: Some(dir.clone()),
             ..ServeConfig::default()
         })
@@ -1362,7 +1354,6 @@ mod tests {
         let server = Server::start(ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
-            batch_window: Duration::from_millis(1),
             store_dir: Some(dir.clone()),
             ..ServeConfig::default()
         })
@@ -1489,7 +1480,6 @@ mod tests {
             shards: 3,
             shard_workers: 1,
             queue_depth: 16,
-            batch_window: Duration::from_millis(1),
             max_batch: 8,
             ..ServeConfig::default()
         })
@@ -1555,7 +1545,6 @@ mod tests {
             queue_depth: 16,
             quota_rps: 2.0,
             quota_burst: 3.0,
-            batch_window: Duration::from_millis(1),
             max_batch: 8,
             ..ServeConfig::default()
         })
@@ -1629,7 +1618,6 @@ mod tests {
             shards: 4,
             shard_workers: 1,
             queue_depth: 32,
-            batch_window: Duration::from_millis(1),
             max_batch: 8,
             ..ServeConfig::default()
         })

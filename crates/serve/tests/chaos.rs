@@ -27,7 +27,6 @@ fn start_chaos(workers: usize, deadline: Duration) -> Server {
         addr: "127.0.0.1:0".into(),
         workers,
         queue_depth: 16,
-        batch_window: Duration::from_millis(1),
         max_batch: 8,
         request_deadline: deadline,
         chaos_endpoints: true,

@@ -25,7 +25,6 @@ fn start(workers: usize, queue_depth: usize) -> Server {
         addr: "127.0.0.1:0".into(),
         workers,
         queue_depth,
-        batch_window: Duration::from_millis(2),
         max_batch: 16,
         ..ServeConfig::default()
     })

@@ -180,7 +180,7 @@ impl EncodedMatrix {
         let alpha = if alpha == 0.0 { 1.0 } else { alpha };
         let profile = PrecisionProfile { scale: alpha, bits: 8 };
         let qmax = profile.qmax();
-        let plan = EncodePlan::new(EncodeMode::Compensated);
+        let plan = EncodePlan::cached(EncodeMode::Compensated);
         let panel_count = n.div_ceil(NR);
         let mut panels = Vec::with_capacity(panel_count);
         let mut signs = Vec::with_capacity(panel_count);

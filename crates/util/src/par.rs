@@ -10,7 +10,6 @@
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Number of worker threads [`par_map`] will use: the machine's available
 /// parallelism, overridable (e.g. for deterministic timing runs) with the
@@ -212,15 +211,6 @@ pub enum TrySendError<T> {
     Disconnected(T),
 }
 
-/// Error returned by [`Receiver::recv_timeout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// No value arrived within the timeout.
-    Timeout,
-    /// Every sender is gone and the queue is drained.
-    Disconnected,
-}
-
 /// The sending half of a bounded [`channel`].
 pub struct Sender<T>(Arc<Shared<T>>);
 
@@ -317,36 +307,6 @@ impl<T> Receiver<T> {
             self.0.not_full.notify_one();
         }
         v
-    }
-
-    /// Blocks up to `timeout` for a value — the micro-batcher's collection
-    /// window.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvTimeoutError::Timeout`] when the window elapses empty,
-    /// [`RecvTimeoutError::Disconnected`] when every sender is gone.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        let mut s = self.0.lock();
-        loop {
-            if let Some(v) = s.queue.pop_front() {
-                drop(s);
-                self.0.not_full.notify_one();
-                return Ok(v);
-            }
-            if s.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            s = match self.0.not_empty.wait_timeout(s, deadline - now) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
     }
 
     /// Number of values currently queued.
@@ -486,27 +446,12 @@ mod tests {
         drop(tx);
         assert_eq!(rx.recv(), Some(7)); // drains before reporting closed
         assert_eq!(rx.recv(), None);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(1)),
-            Err(RecvTimeoutError::Disconnected)
-        );
+        assert!(rx.try_recv().is_none());
 
         let (tx, rx) = channel::<u32>(2);
         drop(rx);
         assert_eq!(tx.send(1), Err(1));
         assert!(matches!(tx.try_send(2), Err(TrySendError::Disconnected(2))));
-    }
-
-    #[test]
-    fn channel_recv_timeout_times_out_when_empty() {
-        let (tx, rx) = channel::<u8>(1);
-        let t0 = Instant::now();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(20)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        assert!(t0.elapsed() >= Duration::from_millis(15));
-        drop(tx);
     }
 
     #[test]
@@ -516,7 +461,7 @@ mod tests {
         std::thread::scope(|scope| {
             let tx2 = tx.clone();
             let h = scope.spawn(move || tx2.send(1).is_ok());
-            std::thread::sleep(Duration::from_millis(10));
+            std::thread::sleep(std::time::Duration::from_millis(10));
             assert_eq!(rx.recv(), Some(0));
             assert!(h.join().unwrap());
             assert_eq!(rx.recv(), Some(1));

@@ -103,6 +103,15 @@ awk '/"speedup_batched_over_unbatched"/ {
     echo "BENCH_serve.json: batched encode is not >=2x unbatched" >&2
     exit 1
 }
+# The micro-batcher is work-conserving: a lone request runs at once.
+# A batching timer (the old design waited 2 ms for company) cannot get
+# a sequential client's 4096-value encode below its window.
+awk '/"lone_encode_p50_us"/ {
+    gsub(/[",]/, ""); if ($2 + 0 > 1500) { exit 1 } else { found = 1 }
+} END { exit found ? 0 : 1 }' BENCH_serve.json || {
+    echo "BENCH_serve.json: lone-client encode p50 above 1500 us" >&2
+    exit 1
+}
 
 echo "==> open-loop load schedules: two dumps, byte-identical"
 cargo run --release --offline -p spark-cli --bin spark -- \
