@@ -10,6 +10,10 @@
 //! - `fused_over_decode_then` — fused throughput relative to
 //!   decode-then-dense-GEMM with the decode *inside* the timed loop (the
 //!   honest comparison for weights that live encoded). Must stay ≥ 0.8×.
+//! - `fused_b1_over_dense_b1` — a batch-1 GEMV over a BERT-base FFN
+//!   weight (`1 x 768 · 768 x 3072`), dense time over fused time. At
+//!   batch 1 every weight is decoded for one row of MACs, so this is the
+//!   decoder keeping pace with the MAC loop. Must stay ≥ 0.35.
 //!
 //! Bit-identity is asserted before any timing: fused output must equal
 //! decode-then-turbo and the scalar reference to the bit, so the numbers
@@ -74,6 +78,22 @@ fn main() {
         black_box(encoded.decode().expect("clean container decodes"));
     });
 
+    // Batch 1: the decode cost is no longer amortized over rows.
+    let (b1k, b1n) = (768, 3072);
+    let (a1, w1) = operands(1, b1k, b1n, 0xB1_6E3F);
+    let encoded1 = EncodedMatrix::encode(&w1).expect("finite operand encodes");
+    let reconstructed1 = encoded1.decode().expect("clean container decodes");
+    let fused1 = ops::matmul_encoded(&a1, &encoded1).expect("dims");
+    let dense1 = ops::matmul(&a1, &reconstructed1).expect("dims");
+    assert_eq!(bits(&fused1), bits(&dense1), "batch-1 fused != dense");
+    let r_fused_b1 = bench(&format!("fused/encoded_gemv/1x{b1k}x{b1n}"), || {
+        black_box(ops::matmul_encoded(&a1, &encoded1).expect("dims"));
+    });
+    let r_dense_b1 = bench(&format!("fused/dense_gemv/1x{b1k}x{b1n}"), || {
+        black_box(ops::matmul(&a1, &reconstructed1).expect("dims"));
+    });
+    let fused_b1_over_dense_b1 = r_dense_b1.mean_ns / r_fused_b1.mean_ns;
+
     let fused_gflops = gflops(m, k, n, r_fused.mean_ns);
     let fused_over_decode_then = r_decode_then.mean_ns / r_fused.mean_ns;
     let fused_over_dense = r_gemm_only.mean_ns / r_fused.mean_ns;
@@ -84,6 +104,7 @@ fn main() {
     println!("fused/over_decode_then          {fused_over_decode_then:>11.2}x");
     println!("fused/over_dense_gemm           {fused_over_dense:>11.2}x");
     println!("fused/panel_decode_overhead     {:>10.1}%", decode_overhead * 100.0);
+    println!("fused/b1_over_dense_b1          {fused_b1_over_dense_b1:>11.2}x");
 
     if let Some(path) = std::env::var_os("SPARK_BENCH_JSON") {
         let doc = Value::object([
@@ -101,6 +122,10 @@ fn main() {
             ("fused_over_decode_then", Value::Num(fused_over_decode_then)),
             ("fused_over_dense_gemm", Value::Num(fused_over_dense)),
             ("panel_decode_overhead", Value::Num(decode_overhead)),
+            ("b1_shape", Value::Str(format!("1x{b1k}x{b1n}"))),
+            ("fused_b1_mean_ns", Value::Num(r_fused_b1.mean_ns)),
+            ("dense_b1_mean_ns", Value::Num(r_dense_b1.mean_ns)),
+            ("fused_b1_over_dense_b1", Value::Num(fused_b1_over_dense_b1)),
         ]);
         std::fs::write(&path, doc.to_string_pretty() + "\n").expect("write SPARK_BENCH_JSON");
         println!("wrote {}", path.to_string_lossy());

@@ -200,11 +200,15 @@ pub fn read_container<R: Read>(mut input: R) -> Result<EncodedTensor, ContainerE
     }
     let mut decoded = Vec::with_capacity(elements);
     crate::bulk::decode_payload_into(variant, stream.as_bytes(), stream.len(), &mut decoded);
-    let mut stats = CodeStats::new();
+    let mut hist = [0u64; 256];
     for &v in &decoded {
+        hist[v as usize] += 1;
+    }
+    let mut stats = CodeStats::new();
+    for (v, &count) in hist.iter().enumerate() {
         // Decoded values are fixed points, so re-encoding them recovers the
         // exact code kinds; errors are all zero by construction.
-        stats.record(v, crate::encode_value(v));
+        stats.record_n(v as u8, crate::encode_value(v as u8), count);
     }
     Ok(EncodedTensor {
         stream,

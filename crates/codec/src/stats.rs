@@ -34,15 +34,25 @@ impl CodeStats {
 
     /// Records one encoded value.
     pub fn record(&mut self, original: u8, code: SparkCode) {
+        self.record_n(original, code, 1);
+    }
+
+    /// Records `count` occurrences of the same encoded value — identical
+    /// to `count` calls of [`Self::record`], for callers that histogram
+    /// their values first.
+    pub fn record_n(&mut self, original: u8, code: SparkCode, count: u64) {
+        if count == 0 {
+            return;
+        }
         match code {
-            SparkCode::Short(_) => self.short += 1,
-            SparkCode::Long { .. } => self.long += 1,
+            SparkCode::Short(_) => self.short += count,
+            SparkCode::Long { .. } => self.long += count,
         }
         let err = (i16::from(code.decode()) - i16::from(original)).unsigned_abs() as u8;
         if err == 0 {
-            self.lossless += 1;
+            self.lossless += count;
         }
-        self.abs_error_sum += u64::from(err);
+        self.abs_error_sum += u64::from(err) * count;
         self.max_error = self.max_error.max(err);
     }
 
@@ -170,6 +180,20 @@ mod tests {
             lossless
         );
         assert_eq!(s.max_error(), 16);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        let values: Vec<u8> = (0..3000u32).map(|i| (i * i % 251) as u8).collect();
+        let mut hist = [0u64; 256];
+        for &v in &values {
+            hist[v as usize] += 1;
+        }
+        let mut s = CodeStats::new();
+        for (v, &count) in hist.iter().enumerate() {
+            s.record_n(v as u8, encode_value(v as u8), count);
+        }
+        assert_eq!(s, stats_for(values));
     }
 
     #[test]

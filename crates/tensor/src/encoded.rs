@@ -22,11 +22,16 @@
 //!
 //! Dequantization mirrors `spark-quant`'s `MagnitudeCodes::dequantize`
 //! bit-for-bit: `step = scale / qmax`, `value = code as f32 * step`,
-//! negated where the sign bit is set. Both [`EncodedMatrix::decode`] (the
-//! decode-then-GEMM reference path) and the fused panel decoder evaluate
-//! this exact expression, which is half of the fused path's bit-identity
-//! argument (the other half is the GEMM schedule itself, see
-//! [`crate::gemm`]).
+//! negated where the sign bit is set. A code is one byte, so each matrix
+//! evaluates that expression once per possible code at construction and
+//! keeps the 256 results as bit patterns; a value is then
+//! `table[code] ^ (sign << 31)`. Flipping the sign bit *is* `f32`
+//! negation (Rust's `-x` lowers to `fneg`, which touches only the sign
+//! bit, NaN payloads included), so the table read is the same expression
+//! to the bit. Both [`EncodedMatrix::decode`] (the decode-then-GEMM
+//! reference path) and the fused panel decoder dequantize through the
+//! same table, which is half of the fused path's bit-identity argument
+//! (the other half is the GEMM schedule itself, see [`crate::gemm`]).
 //!
 //! # Trust boundary
 //!
@@ -135,6 +140,45 @@ pub struct EncodedMatrix {
     signs: Vec<Vec<u8>>,
     /// Aggregate code statistics (empty for [`Self::from_raw_parts`]).
     stats: spark_codec::CodeStats,
+    /// `(code as f32 * profile.step()).to_bits()` for every code.
+    dequant: Box<DequantTable>,
+}
+
+/// One dequantized magnitude per 8-bit code, as `f32` bit patterns.
+type DequantTable = [u32; 256];
+
+fn dequant_table(profile: PrecisionProfile) -> Box<DequantTable> {
+    let step = profile.step();
+    // Bit-for-bit the MagnitudeCodes::dequantize expression.
+    Box::new(std::array::from_fn(|c| (c as f32 * step).to_bits()))
+}
+
+/// Dequantizes the run of elements `e0..e0 + out.len()` of a panel: the
+/// codes and the panel's sign plane in, values out. A full-width row of a
+/// panel starts on a sign byte boundary (`e0` is a multiple of `NR`), so
+/// its signs are read as one `u16` and the loop has no branch or variable
+/// index; any other run takes the per-element loop through the same
+/// table.
+#[inline]
+fn dequant_run(table: &DequantTable, codes: &[u8], signs: &[u8], e0: usize, out: &mut [f32]) {
+    debug_assert_eq!(codes.len(), out.len());
+    if let (Ok(out), Ok(codes)) = (
+        <&mut [f32; NR]>::try_from(&mut *out),
+        <&[u8; NR]>::try_from(codes),
+    ) {
+        if e0.is_multiple_of(8) {
+            let bits = u16::from_le_bytes([signs[e0 >> 3], signs[(e0 >> 3) + 1]]) as u32;
+            for (l, (slot, &code)) in out.iter_mut().zip(codes).enumerate() {
+                *slot = f32::from_bits(table[code as usize] ^ ((bits >> l) & 1) << 31);
+            }
+            return;
+        }
+    }
+    for (l, (slot, &code)) in out.iter_mut().zip(codes).enumerate() {
+        let e = e0 + l;
+        let sign = u32::from(signs[e >> 3] >> (e & 7) & 1);
+        *slot = f32::from_bits(table[code as usize] ^ sign << 31);
+    }
 }
 
 impl EncodedMatrix {
@@ -211,7 +255,15 @@ impl EncodedMatrix {
             panels.push(bytes);
             signs.push(sign_bits);
         }
-        Ok(Self { k, n, profile, panels, signs, stats })
+        Ok(Self {
+            k,
+            n,
+            profile,
+            panels,
+            signs,
+            stats,
+            dequant: dequant_table(profile),
+        })
     }
 
     /// Reassembles a matrix from raw parts *without validating the
@@ -258,6 +310,7 @@ impl EncodedMatrix {
             panels,
             signs,
             stats: spark_codec::CodeStats::new(),
+            dequant: dequant_table(profile),
         })
     }
 
@@ -329,7 +382,7 @@ impl EncodedMatrix {
             &self.panels[p],
             &self.signs[p],
             self.k * self.panel_width(p),
-            self.profile.step(),
+            &self.dequant,
         )
     }
 
@@ -342,7 +395,6 @@ impl EncodedMatrix {
     ///
     /// Typed [`EncodedError`] for any corrupted or inconsistent panel.
     pub fn decode(&self) -> Result<Tensor, EncodedError> {
-        let step = self.profile.step();
         let mut out = vec![0.0f32; self.k * self.n];
         for p in 0..self.panels() {
             let j0 = p * NR;
@@ -357,11 +409,11 @@ impl EncodedMatrix {
                 ))));
             }
             let codes = spark_codec::decode_stream(&et.stream)?;
-            let sign_bits = &self.signs[p];
-            for (e, &c) in codes.iter().enumerate() {
-                let mag = c as f32 * step;
-                let neg = sign_bits[e >> 3] >> (e & 7) & 1 == 1;
-                out[(e / w) * self.n + j0 + e % w] = if neg { -mag } else { mag };
+            // Panel rows are matrix rows: depth `kk` holds elements
+            // `kk * w..(kk + 1) * w`, columns `j0..j0 + w`.
+            for (kk, row) in codes.chunks_exact(w).enumerate() {
+                let dst = &mut out[kk * self.n + j0..kk * self.n + j0 + w];
+                dequant_run(&self.dequant, row, &self.signs[p], kk * w, dst);
             }
         }
         Tensor::from_vec(out, &[self.k, self.n]).map_err(EncodedError::Shape)
@@ -381,7 +433,7 @@ pub(crate) struct PanelDecoder<'a> {
     signs: &'a [u8],
     codes: Vec<u8>,
     elements: usize,
-    step: f32,
+    table: &'a DequantTable,
     emitted: usize,
 }
 
@@ -398,7 +450,7 @@ impl<'a> PanelDecoder<'a> {
         container: &'a [u8],
         signs: &'a [u8],
         expected: usize,
-        step: f32,
+        table: &'a DequantTable,
     ) -> Result<Self, EncodedError> {
         if container.len() < HEADER_LEN {
             return Err(ContainerError::Corrupt(format!(
@@ -484,7 +536,7 @@ impl<'a> PanelDecoder<'a> {
             signs,
             codes,
             elements,
-            step,
+            table,
             emitted: 0,
         })
     }
@@ -513,14 +565,8 @@ impl<'a> PanelDecoder<'a> {
         }
         for r in 0..rows {
             let e0 = self.emitted + r * w;
-            let (row, codes) = (&mut dst[r * NR..r * NR + w], &self.codes[e0..e0 + w]);
-            for (l, (slot, &code)) in row.iter_mut().zip(codes).enumerate() {
-                let e = e0 + l;
-                // Bit-for-bit the MagnitudeCodes::dequantize expression.
-                let mag = code as f32 * self.step;
-                let neg = self.signs[e >> 3] >> (e & 7) & 1 == 1;
-                *slot = if neg { -mag } else { mag };
-            }
+            let row = &mut dst[r * NR..r * NR + w];
+            dequant_run(self.table, &self.codes[e0..e0 + w], self.signs, e0, row);
         }
         self.emitted += rows * w;
         Ok(())
@@ -658,6 +704,203 @@ mod tests {
                 .unwrap();
             assert!(bad.decode().is_err(), "decode accepted corrupted {label}");
             assert!(bad.panel_decoder(1).is_err(), "panel decoder accepted corrupted {label}");
+        }
+    }
+
+    /// `code as f32 * step`, negated when `neg` — the scalar expression
+    /// the dequant table must reproduce to the bit.
+    fn scalar_value(code: u8, neg: bool, step: f32) -> u32 {
+        let mag = code as f32 * step;
+        if neg { -mag } else { mag }.to_bits()
+    }
+
+    /// Profiles at the edges of `f32`: zero scale, a subnormal step, a
+    /// step whose high codes overflow to `inf`, NaN scales, and an
+    /// ordinary one.
+    fn edge_profiles() -> Vec<PrecisionProfile> {
+        vec![
+            PrecisionProfile {
+                scale: 0.0,
+                bits: 8,
+            },
+            PrecisionProfile {
+                scale: f32::MIN_POSITIVE,
+                bits: 8,
+            },
+            PrecisionProfile {
+                scale: f32::MAX,
+                bits: 4,
+            },
+            PrecisionProfile {
+                scale: f32::NAN,
+                bits: 8,
+            },
+            PrecisionProfile {
+                scale: f32::from_bits(0xFFC0_1234),
+                bits: 8,
+            },
+            PrecisionProfile {
+                scale: 0.731,
+                bits: 8,
+            },
+        ]
+    }
+
+    #[test]
+    fn dequant_table_is_the_scalar_expression_for_every_code_and_sign() {
+        for profile in edge_profiles() {
+            let table = dequant_table(profile);
+            let step = profile.step();
+            let codes: Vec<u8> = (0..=255).collect();
+            // Sign planes for "all clear", "all set" and an alternating
+            // pattern, so every code is seen with both signs.
+            for plane in [0x00u8, 0xFF, 0x5A] {
+                let signs = vec![plane; 256 / 8];
+                let neg = |e: usize| signs[e >> 3] >> (e & 7) & 1 == 1;
+                // Full-width aligned rows: the u16 fast path.
+                for e0 in (0..256).step_by(NR) {
+                    let mut out = [0.0f32; NR];
+                    dequant_run(&table, &codes[e0..e0 + NR], &signs, e0, &mut out);
+                    for (l, v) in out.iter().enumerate() {
+                        let e = e0 + l;
+                        let want = scalar_value(codes[e], neg(e), step);
+                        assert_eq!(v.to_bits(), want, "{profile:?} code {e} fast path");
+                    }
+                }
+                // Ragged runs: the per-element fallback.
+                let mut e0 = 0;
+                for w in [1usize, 15, 17, 3].iter().cycle() {
+                    if e0 + w > 256 {
+                        break;
+                    }
+                    let mut out = vec![0.0f32; *w];
+                    dequant_run(&table, &codes[e0..e0 + w], &signs, e0, &mut out);
+                    for (l, v) in out.iter().enumerate() {
+                        let e = e0 + l;
+                        let want = scalar_value(codes[e], neg(e), step);
+                        assert_eq!(v.to_bits(), want, "{profile:?} code {e} fallback");
+                    }
+                    e0 += w;
+                }
+            }
+        }
+        // The edge profiles really reach the edges.
+        assert!(f32::from_bits(
+            dequant_table(PrecisionProfile {
+                scale: f32::MAX,
+                bits: 4
+            })[255]
+        )
+        .is_infinite());
+        assert!(f32::from_bits(
+            dequant_table(PrecisionProfile {
+                scale: f32::MIN_POSITIVE,
+                bits: 8
+            })[1]
+        )
+        .is_subnormal());
+    }
+
+    /// Builds a `k x n` matrix through `from_raw_parts` whose panels
+    /// cycle through all 256 codes (as far as the lossy codec keeps
+    /// them) with a scattered sign pattern, and returns the decoded code
+    /// and sign of every element in row-major order.
+    fn raw_matrix(
+        k: usize,
+        n: usize,
+        profile: PrecisionProfile,
+    ) -> (EncodedMatrix, Vec<(u8, bool)>) {
+        let plan = EncodePlan::cached(EncodeMode::Compensated);
+        let mut want = vec![(0u8, false); k * n];
+        let (mut panels, mut signs) = (Vec::new(), Vec::new());
+        for p in 0..n.div_ceil(NR) {
+            let w = NR.min(n - p * NR);
+            let codes: Vec<u8> = (0..k * w).map(|e| (e * 37 + p * 11) as u8).collect();
+            let enc = plan.encode(&codes);
+            let decoded = spark_codec::decode_stream(&enc.stream).unwrap();
+            let mut plane = vec![0u8; (k * w).div_ceil(8)];
+            for (e, &code) in decoded.iter().enumerate() {
+                let neg = (e * 7 + p) % 3 == 0;
+                if neg {
+                    plane[e >> 3] |= 1 << (e & 7);
+                }
+                want[(e / w) * n + p * NR + e % w] = (code, neg);
+            }
+            let mut bytes = Vec::new();
+            spark_codec::write_container(&enc, &mut bytes).unwrap();
+            panels.push(bytes);
+            signs.push(plane);
+        }
+        let em = EncodedMatrix::from_raw_parts(k, n, profile, panels, signs).unwrap();
+        (em, want)
+    }
+
+    #[test]
+    fn decode_and_panel_decoder_match_the_scalar_expression() {
+        use crate::gemm::KC;
+        for profile in edge_profiles() {
+            let step = profile.step();
+            for n in [1, 15, 16, 17, 33] {
+                for k in [1, KC - 1, KC + 1, 2 * KC + 3] {
+                    let ctx = format!("{profile:?} {k}x{n}");
+                    let (em, want) = raw_matrix(k, n, profile);
+                    let want: Vec<u32> = want
+                        .iter()
+                        .map(|&(c, neg)| scalar_value(c, neg, step))
+                        .collect();
+                    let got: Vec<u32> = em
+                        .decode()
+                        .unwrap()
+                        .as_slice()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    assert_eq!(got, want, "decode {ctx}");
+                    // The fused packer's walk: KC-row blocks per panel.
+                    // Lanes past the panel width must never be written.
+                    const SENTINEL: u32 = 0x7FC0_BEEF;
+                    for p in 0..em.panels() {
+                        let w = em.panel_width(p);
+                        let mut dec = em.panel_decoder(p).unwrap();
+                        let mut kb = 0;
+                        while kb < k {
+                            let depth = KC.min(k - kb);
+                            let mut dst = vec![f32::from_bits(SENTINEL); KC * NR];
+                            dec.decode_rows(&mut dst[..depth * NR], depth, w).unwrap();
+                            for r in 0..depth {
+                                for l in 0..NR {
+                                    let got = dst[r * NR + l].to_bits();
+                                    if l < w {
+                                        let e = (kb + r) * n + p * NR + l;
+                                        assert_eq!(
+                                            got,
+                                            want[e],
+                                            "panel decoder {ctx} ({}, {l})",
+                                            kb + r
+                                        );
+                                    } else {
+                                        assert_eq!(got, SENTINEL, "pad lane written {ctx}");
+                                    }
+                                }
+                            }
+                            kb += depth;
+                        }
+                        dec.finish().unwrap();
+                    }
+                    // The whole fused GEMM against the dense engine over
+                    // decode()'s output. A NaN that arithmetic produces
+                    // has no IEEE-defined sign or payload, and the scalar
+                    // and SIMD engines order operands differently, so
+                    // NaN outputs only need to agree on being NaN.
+                    let a = Tensor::from_fn(&[2, k], |i| (i % 5) as f32 - 1.5);
+                    let fused = crate::ops::matmul_encoded(&a, &em).unwrap();
+                    let dense = crate::ops::matmul(&a, &em.decode().unwrap()).unwrap();
+                    for (f, d) in fused.as_slice().iter().zip(dense.as_slice()) {
+                        let same = f.to_bits() == d.to_bits() || (f.is_nan() && d.is_nan());
+                        assert!(same, "fused GEMM {ctx}: {f} vs {d}");
+                    }
+                }
+            }
         }
     }
 

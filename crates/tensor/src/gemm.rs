@@ -725,7 +725,7 @@ pub(crate) fn gemm_encoded_auto(
         b,
         m,
         epi,
-        auto_workers(m, b.k(), b.n()),
+        fused_workers(m, b.k(), b.n()),
     )
 }
 
@@ -749,7 +749,18 @@ pub fn gemm_encoded_with(
     m: usize,
     epi: Epilogue<'_>,
 ) -> Result<Vec<f32>, EncodedError> {
-    gemm_encoded_impl(variant, a, b, m, epi, auto_workers(m, b.k(), b.n()))
+    gemm_encoded_impl(variant, a, b, m, epi, fused_workers(m, b.k(), b.n()))
+}
+
+/// Worker rule of the decode-fused engine. Its workers split panel
+/// groups, not rows, and the decode work scales with `k * n` whatever
+/// `m` is, so unlike [`auto_workers`] a GEMV (`m = 1`) fans out too;
+/// only the `PAR_MIN_MACS` floor keeps small products inline.
+fn fused_workers(m: usize, k: usize, n: usize) -> usize {
+    if m * k * n < PAR_MIN_MACS {
+        return 1;
+    }
+    spark_util::par::thread_count()
 }
 
 pub(crate) fn gemm_encoded_impl(
@@ -833,8 +844,8 @@ fn fused_group(
         let depth = ke - kb;
         let (first, last) = (kb == 0, ke == k);
         {
+            // Lanes `w..NR` stay zero from `PackedB::zeroed`; rows `>= depth` are never read.
             let dst = scratch.panels_mut();
-            dst[..gp * b2off].fill(0.0);
             for (q, dec) in decs.iter_mut().enumerate() {
                 let w = NR.min(gw - q * NR);
                 dec.decode_rows(&mut dst[q * b2off..q * b2off + depth * NR], depth, w)?;
@@ -1555,16 +1566,36 @@ mod tests {
 
     #[test]
     fn fused_worker_split_is_bit_identical() {
-        let (m, k, n) = (23, 200, 130);
-        let (a, _) = operands(m, k, n, 5);
+        // m = 1 and 3 sit below MR and 2 * MR: the fused engine splits
+        // panel groups, so a GEMV fans out too.
+        let (k, n) = (200, 130);
         let (em, _) = encoded_operand(k, n, 6);
-        let seq = gemm_encoded_impl(GemmVariant::detect(), &a, &em, m, Epilogue::None, 1).unwrap();
-        for workers in [2, 3, 5] {
-            let par =
-                gemm_encoded_impl(GemmVariant::detect(), &a, &em, m, Epilogue::None, workers)
-                    .unwrap();
-            assert_bits_eq(&par, &seq, &format!("fused {workers} workers"));
+        for m in [1, 3, 23] {
+            let (a, _) = operands(m, k, n, 5);
+            let seq =
+                gemm_encoded_impl(GemmVariant::detect(), &a, &em, m, Epilogue::None, 1).unwrap();
+            for workers in [2, 3, 5] {
+                let par =
+                    gemm_encoded_impl(GemmVariant::detect(), &a, &em, m, Epilogue::None, workers)
+                        .unwrap();
+                assert_bits_eq(&par, &seq, &format!("fused m={m} {workers} workers"));
+            }
         }
+    }
+
+    #[test]
+    fn fused_gemv_fans_out_and_matches_one_worker() {
+        // The smallest panel-aligned GEMV at the parallel floor.
+        let (k, n) = (1024, PAR_MIN_MACS / 1024);
+        let (a, _) = operands(1, k, n, 21);
+        let (em, _) = encoded_operand(k, n, 22);
+        let fans_out = spark_util::par::thread_count() > 1;
+        assert_eq!(fused_workers(1, k, n) > 1, fans_out);
+        assert_eq!(fused_workers(1, k, n / 2), 1, "below the floor");
+        let at = crate::Tensor::from_vec(a.clone(), &[1, k]).unwrap();
+        let auto = crate::ops::matmul_encoded(&at, &em).unwrap();
+        let seq = gemm_encoded_impl(GemmVariant::detect(), &a, &em, 1, Epilogue::None, 1).unwrap();
+        assert_bits_eq(auto.as_slice(), &seq, "m=1 auto vs 1 worker");
     }
 
     #[test]

@@ -62,7 +62,9 @@ cargo test -q --offline -p spark-tensor --test fused_properties
 echo "==> decode-fused GEMM bench -> BENCH_fused.json"
 # Full timing windows: fused_over_decode_then and weight_bytes_ratio are
 # gates (fused must keep >=0.8x of decode-then-GEMM throughput while the
-# resident weights shrink >=1.8x, i.e. ratio <= 0.55).
+# resident weights shrink >=1.8x, i.e. ratio <= 0.55), and so is
+# fused_b1_over_dense_b1 (a batch-1 fused GEMV must run at >=0.35x of the
+# dense GEMV over the same 768x3072 weight).
 SPARK_BENCH_JSON="$PWD/BENCH_fused.json" \
     cargo bench --offline -p spark-bench --bench fused
 grep -Eq '"fused_gflops": *[0-9]' BENCH_fused.json || {
@@ -79,6 +81,12 @@ awk '/"fused_over_decode_then"/ {
     gsub(/[",]/, ""); if ($2 + 0 < 0.8) { exit 1 } else { found = 1 }
 } END { exit found ? 0 : 1 }' BENCH_fused.json || {
     echo "BENCH_fused.json: fused GEMM is not >=0.8x of decode-then-GEMM" >&2
+    exit 1
+}
+awk '/"fused_b1_over_dense_b1"/ {
+    gsub(/[",]/, ""); if ($2 + 0 < 0.35) { exit 1 } else { found = 1 }
+} END { exit found ? 0 : 1 }' BENCH_fused.json || {
+    echo "BENCH_fused.json: batch-1 fused GEMV is not >=0.35x of the dense GEMV" >&2
     exit 1
 }
 
