@@ -9,14 +9,10 @@
 use spark_util::dist::Normal;
 use spark_util::Rng;
 use spark_tensor::im2col::{col2im, im2col, Conv2dSpec};
-use spark_tensor::{ops, EncodedError, EncodedMatrix, Tensor};
+use spark_tensor::{ops, Tensor};
 
 /// A trainable layer (single-example forward/backward).
-///
-/// `Send` is a supertrait so models can move into worker threads (the
-/// serving plane holds a frozen [`crate::Sequential`] behind a mutex);
-/// every layer here is plain owned data, so the bound costs nothing.
-pub trait Layer: Send {
+pub trait Layer {
     /// Forward pass; caches activations for backward.
     fn forward(&mut self, x: &Tensor) -> Tensor;
 
@@ -34,70 +30,6 @@ pub trait Layer: Send {
 
     /// Number of trainable parameters.
     fn param_count(&self) -> usize;
-
-    /// Freezes the layer's weights into SPARK-encoded serving form.
-    ///
-    /// Weights are quantized and encoded into resident nibble streams
-    /// ([`EncodedMatrix`]); the dense tensors are replaced by the decoded
-    /// reconstruction, so every later dense read (backward, compression)
-    /// sees exactly what the fused forward multiplies by — which makes the
-    /// frozen forward bit-identical to the unfrozen forward over the
-    /// reconstructed weights. Training invalidates the frozen state
-    /// ([`Layer::step`] and [`Layer::weights_mut`] drop it).
-    ///
-    /// Returns `(resident_bytes, dense_bytes)` for the layer's weights;
-    /// the default for weight-less layers is `(0, 0)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncodedError`] when a weight tensor holds non-finite
-    /// values or fails to round-trip through the codec.
-    fn freeze_encoded(&mut self) -> Result<(usize, usize), EncodedError> {
-        Ok((0, 0))
-    }
-
-    /// Whether this layer exports/imports a single frozen weight matrix
-    /// through [`Layer::exported_weight`] / [`Layer::import_weight`].
-    ///
-    /// This is the persistence contract a blockstore walks over a model:
-    /// layers answering `true` contribute exactly one [`EncodedMatrix`] to
-    /// the stored artifact, in layer order. The default is `false`; only
-    /// [`Dense`] participates today (conv/attention layers freeze multiple
-    /// matrices and are not yet covered by the store format).
-    fn persists_weight(&self) -> bool {
-        false
-    }
-
-    /// The frozen serving-form weight matrix, when this layer is frozen
-    /// and [`Layer::persists_weight`] — the export half of the blockstore
-    /// round-trip. Default: `None`.
-    fn exported_weight(&self) -> Option<&EncodedMatrix> {
-        None
-    }
-
-    /// Installs a stored frozen weight matrix as this layer's serving
-    /// form — the import half of the blockstore round-trip, skipping the
-    /// quantize-and-encode pass. Returns `(resident_bytes, dense_bytes)`.
-    ///
-    /// # Errors
-    ///
-    /// The default (any layer with `persists_weight() == false`) rejects
-    /// every matrix with [`EncodedError::Shape`]; [`Dense`] rejects
-    /// mismatched dimensions and corrupt container bytes.
-    fn import_weight(&mut self, em: EncodedMatrix) -> Result<(usize, usize), EncodedError> {
-        let _ = em;
-        Err(EncodedError::Shape(spark_tensor::ShapeError::new(
-            "layer has no installable weight matrix",
-        )))
-    }
-}
-
-/// Encodes one weight matrix for serving and swaps the dense tensor for
-/// its decoded reconstruction (see [`Layer::freeze_encoded`]).
-fn freeze_weight(w: &mut Tensor) -> Result<EncodedMatrix, EncodedError> {
-    let em = EncodedMatrix::encode(w)?;
-    *w = em.decode()?;
-    Ok(em)
 }
 
 fn glorot(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -112,7 +44,6 @@ fn glorot(rows: usize, cols: usize, seed: u64) -> Tensor {
 pub struct Dense {
     w: Tensor,
     b: Vec<f32>,
-    enc_w: Option<EncodedMatrix>,
     grad_w: Tensor,
     grad_b: Vec<f32>,
     cached_x: Option<Tensor>,
@@ -124,7 +55,6 @@ impl Dense {
         Self {
             w: glorot(inputs, outputs, seed),
             b: vec![0.0; outputs],
-            enc_w: None,
             grad_w: Tensor::zeros(&[inputs, outputs]),
             grad_b: vec![0.0; outputs],
             cached_x: None,
@@ -135,63 +65,12 @@ impl Dense {
     pub fn weight(&self) -> &Tensor {
         &self.w
     }
-
-    /// True when the layer serves from SPARK-encoded weights.
-    pub fn is_frozen(&self) -> bool {
-        self.enc_w.is_some()
-    }
-
-    /// The frozen serving-form weights, when the layer is frozen — the
-    /// export half of the persistence round-trip: a blockstore serializes
-    /// these container images byte-for-byte.
-    pub fn frozen_weight(&self) -> Option<&EncodedMatrix> {
-        self.enc_w.as_ref()
-    }
-
-    /// Installs an already-encoded weight matrix (e.g. cold-loaded from a
-    /// blockstore) as this layer's frozen serving form, skipping the
-    /// quantize-and-encode pass entirely. The dense tensor is replaced by
-    /// the decoded reconstruction, exactly as [`Layer::freeze_encoded`]
-    /// leaves it — so a layer cold-loaded from the store is
-    /// *state-identical* (same container bytes, same dense reconstruction)
-    /// to one frozen in process, and its forward is bit-identical.
-    ///
-    /// Returns `(resident_bytes, dense_bytes)` like the freeze path.
-    ///
-    /// # Errors
-    ///
-    /// [`EncodedError::Shape`] when the matrix dimensions do not match the
-    /// layer, and any typed decode error for corrupted container bytes
-    /// (nothing is installed in that case).
-    pub fn install_frozen(&mut self, em: EncodedMatrix) -> Result<(usize, usize), EncodedError> {
-        let (inputs, outputs) = self.w.shape().as_matrix()?;
-        if em.k() != inputs || em.n() != outputs {
-            return Err(EncodedError::Shape(spark_tensor::ShapeError::new(format!(
-                "stored matrix is {}x{}, layer expects {inputs}x{outputs}",
-                em.k(),
-                em.n(),
-            ))));
-        }
-        // Decode before committing anything: corrupted bytes must leave
-        // the layer untouched.
-        let reconstructed = em.decode()?;
-        self.w = reconstructed;
-        let bytes = (em.resident_bytes(), em.dense_bytes());
-        self.enc_w = Some(em);
-        Ok(bytes)
-    }
 }
 
 impl Layer for Dense {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        // Fused bias epilogue — bit-identical to matmul + add_bias. When
-        // frozen, the decode-fused engine multiplies by the resident
-        // nibble streams directly; `w` holds their exact reconstruction,
-        // so both branches produce the same bits.
-        let y = match &self.enc_w {
-            Some(em) => ops::matmul_bias_encoded(x, em, &self.b).expect("dense dims"),
-            None => ops::matmul_bias(x, &self.w, &self.b).expect("dense dims"),
-        };
+        // Fused bias epilogue — bit-identical to matmul + add_bias.
+        let y = ops::matmul_bias(x, &self.w, &self.b).expect("dense dims");
         self.cached_x = Some(x.clone());
         y
     }
@@ -215,7 +94,6 @@ impl Layer for Dense {
         let scale = lr / batch.max(1) as f32;
         let update = ops::scale(&self.grad_w, scale);
         self.w = ops::sub(&self.w, &update).expect("same shape");
-        self.enc_w = None;
         for (b, g) in self.b.iter_mut().zip(&self.grad_b) {
             *b -= scale * g;
         }
@@ -224,33 +102,11 @@ impl Layer for Dense {
     }
 
     fn weights_mut(&mut self) -> Vec<&mut Tensor> {
-        // The caller may rewrite the weights; the frozen streams would no
-        // longer match.
-        self.enc_w = None;
         vec![&mut self.w]
     }
 
     fn param_count(&self) -> usize {
         self.w.len() + self.b.len()
-    }
-
-    fn freeze_encoded(&mut self) -> Result<(usize, usize), EncodedError> {
-        let em = freeze_weight(&mut self.w)?;
-        let bytes = (em.resident_bytes(), em.dense_bytes());
-        self.enc_w = Some(em);
-        Ok(bytes)
-    }
-
-    fn persists_weight(&self) -> bool {
-        true
-    }
-
-    fn exported_weight(&self) -> Option<&EncodedMatrix> {
-        Dense::frozen_weight(self)
-    }
-
-    fn import_weight(&mut self, em: EncodedMatrix) -> Result<(usize, usize), EncodedError> {
-        Dense::install_frozen(self, em)
     }
 }
 
@@ -356,7 +212,6 @@ pub struct ConvFirst {
     w: usize,
     /// Flattened filters: `(C*k*k, out_channels)`.
     filters: Tensor,
-    enc_f: Option<EncodedMatrix>,
     grad_f: Tensor,
     cached_patches: Option<Tensor>,
 }
@@ -370,7 +225,6 @@ impl ConvFirst {
             h,
             w,
             filters: glorot(k, spec.out_channels, seed),
-            enc_f: None,
             grad_f: Tensor::zeros(&[k, spec.out_channels]),
             cached_patches: None,
         }
@@ -383,10 +237,7 @@ impl Layer for ConvFirst {
             .reshape(&[self.spec.in_channels, self.h, self.w])
             .expect("input matches conv geometry");
         let patches = im2col(&img, &self.spec).expect("valid conv");
-        let y = match &self.enc_f {
-            Some(em) => ops::matmul_encoded(&patches, em).expect("conv dims"),
-            None => ops::matmul(&patches, &self.filters).expect("conv dims"),
-        };
+        let y = ops::matmul(&patches, &self.filters).expect("conv dims");
         self.cached_patches = Some(patches);
         y
     }
@@ -406,24 +257,15 @@ impl Layer for ConvFirst {
         let scale = lr / batch.max(1) as f32;
         let update = ops::scale(&self.grad_f, scale);
         self.filters = ops::sub(&self.filters, &update).expect("same shape");
-        self.enc_f = None;
         self.grad_f = Tensor::zeros(self.filters.dims());
     }
 
     fn weights_mut(&mut self) -> Vec<&mut Tensor> {
-        self.enc_f = None;
         vec![&mut self.filters]
     }
 
     fn param_count(&self) -> usize {
         self.filters.len()
-    }
-
-    fn freeze_encoded(&mut self) -> Result<(usize, usize), EncodedError> {
-        let em = freeze_weight(&mut self.filters)?;
-        let bytes = (em.resident_bytes(), em.dense_bytes());
-        self.enc_f = Some(em);
-        Ok(bytes)
     }
 }
 
@@ -441,7 +283,6 @@ pub struct Conv2d {
     w: usize,
     /// Flattened filters: `(C*k*k, out_channels)`.
     filters: Tensor,
-    enc_f: Option<EncodedMatrix>,
     grad_f: Tensor,
     cached_patches: Option<Tensor>,
 }
@@ -455,7 +296,6 @@ impl Conv2d {
             h,
             w,
             filters: glorot(k, spec.out_channels, seed),
-            enc_f: None,
             grad_f: Tensor::zeros(&[k, spec.out_channels]),
             cached_patches: None,
         }
@@ -485,10 +325,7 @@ impl Layer for Conv2d {
                 .expect("geometry matches")
         };
         let patches = im2col(&img, &self.spec).expect("valid conv");
-        let y = match &self.enc_f {
-            Some(em) => ops::matmul_encoded(&patches, em).expect("conv dims"),
-            None => ops::matmul(&patches, &self.filters).expect("conv dims"),
-        };
+        let y = ops::matmul(&patches, &self.filters).expect("conv dims");
         self.cached_patches = Some(patches);
         y
     }
@@ -515,24 +352,15 @@ impl Layer for Conv2d {
         let scale = lr / batch.max(1) as f32;
         let update = ops::scale(&self.grad_f, scale);
         self.filters = ops::sub(&self.filters, &update).expect("same shape");
-        self.enc_f = None;
         self.grad_f = Tensor::zeros(self.filters.dims());
     }
 
     fn weights_mut(&mut self) -> Vec<&mut Tensor> {
-        self.enc_f = None;
         vec![&mut self.filters]
     }
 
     fn param_count(&self) -> usize {
         self.filters.len()
-    }
-
-    fn freeze_encoded(&mut self) -> Result<(usize, usize), EncodedError> {
-        let em = freeze_weight(&mut self.filters)?;
-        let bytes = (em.resident_bytes(), em.dense_bytes());
-        self.enc_f = Some(em);
-        Ok(bytes)
     }
 }
 
@@ -623,8 +451,6 @@ pub struct SelfAttention {
     wk: Tensor,
     wv: Tensor,
     wo: Tensor,
-    /// Frozen serving form of `[wq, wk, wv, wo]`, in that order.
-    enc: Option<[EncodedMatrix; 4]>,
     grads: [Tensor; 4],
     cache: Option<AttnCache>,
     d: usize,
@@ -654,42 +480,24 @@ impl SelfAttention {
                 Tensor::zeros(&[d, d]),
                 Tensor::zeros(&[d, d]),
             ],
-            enc: None,
             cache: None,
             d,
         }
-    }
-
-    /// True when the projection weights are held as SPARK nibble streams.
-    pub fn is_frozen(&self) -> bool {
-        self.enc.is_some()
     }
 }
 
 impl Layer for SelfAttention {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (q, k, v) = match &self.enc {
-            Some(e) => (
-                ops::matmul_encoded(x, &e[0]).expect("attn dims"),
-                ops::matmul_encoded(x, &e[1]).expect("attn dims"),
-                ops::matmul_encoded(x, &e[2]).expect("attn dims"),
-            ),
-            None => (
-                ops::matmul(x, &self.wq).expect("attn dims"),
-                ops::matmul(x, &self.wk).expect("attn dims"),
-                ops::matmul(x, &self.wv).expect("attn dims"),
-            ),
-        };
+        let q = ops::matmul(x, &self.wq).expect("attn dims");
+        let k = ops::matmul(x, &self.wk).expect("attn dims");
+        let v = ops::matmul(x, &self.wv).expect("attn dims");
         let scores = ops::scale(
             &ops::matmul_nt(&q, &k).expect("attn dims"),
             1.0 / (self.d as f32).sqrt(),
         );
         let a = ops::softmax_rows(&scores).expect("rank 2");
         let y = ops::matmul(&a, &v).expect("attn dims");
-        let out = match &self.enc {
-            Some(e) => ops::matmul_encoded(&y, &e[3]).expect("attn dims"),
-            None => ops::matmul(&y, &self.wo).expect("attn dims"),
-        };
+        let out = ops::matmul(&y, &self.wo).expect("attn dims");
         self.cache = Some(AttnCache {
             x: x.clone(),
             q,
@@ -743,7 +551,6 @@ impl Layer for SelfAttention {
     }
 
     fn step(&mut self, lr: f32, batch: usize) {
-        self.enc = None;
         let scale = lr / batch.max(1) as f32;
         for (w, g) in [&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo]
             .into_iter()
@@ -756,24 +563,11 @@ impl Layer for SelfAttention {
     }
 
     fn weights_mut(&mut self) -> Vec<&mut Tensor> {
-        self.enc = None;
         vec![&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo]
     }
 
     fn param_count(&self) -> usize {
         4 * self.d * self.d
-    }
-
-    fn freeze_encoded(&mut self) -> Result<(usize, usize), EncodedError> {
-        let eq = freeze_weight(&mut self.wq)?;
-        let ek = freeze_weight(&mut self.wk)?;
-        let ev = freeze_weight(&mut self.wv)?;
-        let eo = freeze_weight(&mut self.wo)?;
-        let enc = [eq, ek, ev, eo];
-        let resident = enc.iter().map(EncodedMatrix::resident_bytes).sum();
-        let dense = enc.iter().map(EncodedMatrix::dense_bytes).sum();
-        self.enc = Some(enc);
-        Ok((resident, dense))
     }
 }
 
@@ -974,105 +768,5 @@ mod tests {
         assert_eq!(Dense::new(3, 4, 0).param_count(), 16);
         assert_eq!(SelfAttention::new(8, 0).param_count(), 256);
         assert_eq!(Relu::new().param_count(), 0);
-    }
-
-    fn bits(t: &Tensor) -> Vec<u32> {
-        t.as_slice().iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn dense_install_frozen_round_trips_the_freeze_state() {
-        // Export a frozen layer's matrix, install it into a fresh layer:
-        // container bytes, reconstruction, and forward must all match —
-        // the invariant the blockstore's cold-load path rests on.
-        let mut src = Dense::new(7, 19, 77);
-        src.freeze_encoded().unwrap();
-        let em = src.frozen_weight().unwrap().clone();
-        let mut dst = Dense::new(7, 19, 999); // different seed on purpose
-        let (resident, dense) = dst.install_frozen(em.clone()).unwrap();
-        assert_eq!(resident, em.resident_bytes());
-        assert_eq!(dense, em.dense_bytes());
-        assert!(dst.is_frozen());
-        assert_eq!(
-            dst.weight().as_slice(),
-            src.weight().as_slice(),
-            "reconstruction must match the freezing layer's"
-        );
-        let x = Tensor::from_fn(&[2, 7], |i| (i as f32 * 0.31).sin());
-        assert_eq!(bits(&src.forward(&x)), bits(&dst.forward(&x)));
-        // Dimension mismatch is typed and leaves the layer untouched.
-        let mut wrong = Dense::new(8, 19, 1);
-        assert!(wrong.install_frozen(em).is_err());
-        assert!(!wrong.is_frozen());
-    }
-
-    #[test]
-    fn dense_frozen_forward_bit_identical_and_step_unfreezes() {
-        let mut d = Dense::new(5, 33, 21);
-        let x = Tensor::from_fn(&[3, 5], |i| (i as f32 * 0.23).sin());
-        let (resident, dense) = d.freeze_encoded().unwrap();
-        assert!(d.is_frozen());
-        assert!(resident * 2 < dense, "{resident} vs {dense}");
-        let frozen = d.forward(&x);
-        // weights_mut keeps the reconstructed weights but drops the frozen
-        // state: the dense kernel must reproduce the fused output exactly.
-        let _ = d.weights_mut();
-        assert!(!d.is_frozen());
-        assert_eq!(bits(&frozen), bits(&d.forward(&x)));
-        d.freeze_encoded().unwrap();
-        d.backward(&Tensor::full(&[3, 33], 1.0));
-        d.step(0.1, 1);
-        assert!(!d.is_frozen(), "step must invalidate the frozen weights");
-    }
-
-    #[test]
-    fn conv2d_frozen_forward_bit_identical() {
-        let spec = Conv2dSpec {
-            in_channels: 2,
-            out_channels: 5,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-        };
-        let mut c = Conv2d::new(spec, 5, 5, 31);
-        let x = Tensor::from_fn(&[25, 2], |i| (i as f32 * 0.17).cos());
-        c.freeze_encoded().unwrap();
-        let frozen = c.forward(&x);
-        let _ = c.weights_mut();
-        assert_eq!(bits(&frozen), bits(&c.forward(&x)));
-    }
-
-    #[test]
-    fn conv_first_frozen_forward_bit_identical() {
-        let spec = Conv2dSpec {
-            in_channels: 1,
-            out_channels: 4,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-        };
-        let mut c = ConvFirst::new(spec, 6, 6, 41);
-        let x = Tensor::from_fn(&[1, 36], |i| (i as f32 * 0.29).sin());
-        c.freeze_encoded().unwrap();
-        let frozen = c.forward(&x);
-        let _ = c.weights_mut();
-        assert_eq!(bits(&frozen), bits(&c.forward(&x)));
-    }
-
-    #[test]
-    fn attention_frozen_forward_bit_identical_and_step_unfreezes() {
-        let mut a = SelfAttention::new(8, 51);
-        let x = Tensor::from_fn(&[6, 8], |i| (i as f32 * 0.13).sin());
-        a.freeze_encoded().unwrap();
-        assert!(a.is_frozen());
-        let frozen = a.forward(&x);
-        let _ = a.weights_mut();
-        assert!(!a.is_frozen());
-        assert_eq!(bits(&frozen), bits(&a.forward(&x)));
-        a.freeze_encoded().unwrap();
-        let y = a.forward(&x);
-        a.backward(&Tensor::full(y.dims(), 1.0));
-        a.step(0.5, 1);
-        assert!(!a.is_frozen());
     }
 }

@@ -39,5 +39,5 @@ pub mod proxy;
 pub mod train;
 pub mod workload;
 
-pub use model::{FreezeReport, Sequential};
+pub use model::Sequential;
 pub use workload::{Gemm, ModelWorkload};

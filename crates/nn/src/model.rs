@@ -1,28 +1,8 @@
 //! Sequential model container with softmax cross-entropy loss.
 
-use spark_tensor::{ops, EncodedError, Tensor};
+use spark_tensor::{ops, Tensor};
 
 use crate::layers::Layer;
-
-/// Memory accounting returned by [`Sequential::freeze_encoded`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FreezeReport {
-    /// Bytes of SPARK containers + sign planes now resident for weights.
-    pub resident_bytes: usize,
-    /// Bytes the same weights would occupy as dense `f32`.
-    pub dense_bytes: usize,
-}
-
-impl FreezeReport {
-    /// `resident_bytes / dense_bytes`; 0.0 when nothing was frozen.
-    pub fn ratio(&self) -> f64 {
-        if self.dense_bytes == 0 {
-            0.0
-        } else {
-            self.resident_bytes as f64 / self.dense_bytes as f64
-        }
-    }
-}
 
 /// A stack of layers trained with softmax cross-entropy.
 pub struct Sequential {
@@ -148,76 +128,6 @@ impl Sequential {
             .unwrap_or(0)
     }
 
-    /// Freezes every layer's weights into SPARK-encoded serving form.
-    ///
-    /// After this call the forward path runs the decode-fused GEMM over
-    /// nibble-stream weights; outputs are bit-identical to the dense forward
-    /// over the same (reconstructed) weights. Training (`step`) or mutating
-    /// weights un-freezes the affected layers.
-    pub fn freeze_encoded(&mut self) -> Result<FreezeReport, EncodedError> {
-        let mut report = FreezeReport {
-            resident_bytes: 0,
-            dense_bytes: 0,
-        };
-        for layer in &mut self.layers {
-            let (resident, dense) = layer.freeze_encoded()?;
-            report.resident_bytes += resident;
-            report.dense_bytes += dense;
-        }
-        Ok(report)
-    }
-
-    /// The frozen weight matrices of every persistence-capable layer, in
-    /// layer order — the export half of the blockstore round-trip. Empty
-    /// when the model is not frozen (or has no [`Layer::persists_weight`]
-    /// layers).
-    pub fn exported_weights(&self) -> Vec<&spark_tensor::EncodedMatrix> {
-        self.layers.iter().filter_map(|l| l.exported_weight()).collect()
-    }
-
-    /// Installs stored frozen weights into the persistence-capable layers,
-    /// in layer order — the cold-load inverse of [`Sequential::freeze_encoded`]
-    /// + [`Sequential::exported_weights`]. Skips the quantize-and-encode
-    /// pass entirely; after this call the model serves from the given
-    /// nibble streams and its forward is bit-identical to the model the
-    /// matrices were exported from.
-    ///
-    /// # Errors
-    ///
-    /// [`EncodedError::Shape`] when the matrix count does not match the
-    /// number of weight-persisting layers or any matrix's dimensions do
-    /// not match its layer; decode errors for corrupt container bytes.
-    /// Layers before the failing one keep their installed state.
-    pub fn import_weights(
-        &mut self,
-        mats: impl IntoIterator<Item = spark_tensor::EncodedMatrix>,
-    ) -> Result<FreezeReport, EncodedError> {
-        let mut mats = mats.into_iter();
-        let mut report = FreezeReport {
-            resident_bytes: 0,
-            dense_bytes: 0,
-        };
-        for layer in &mut self.layers {
-            if !layer.persists_weight() {
-                continue;
-            }
-            let Some(em) = mats.next() else {
-                return Err(EncodedError::Shape(spark_tensor::ShapeError::new(
-                    "fewer stored matrices than weight-persisting layers",
-                )));
-            };
-            let (resident, dense) = layer.import_weight(em)?;
-            report.resident_bytes += resident;
-            report.dense_bytes += dense;
-        }
-        if mats.next().is_some() {
-            return Err(EncodedError::Shape(spark_tensor::ShapeError::new(
-                "more stored matrices than weight-persisting layers",
-            )));
-        }
-        Ok(report)
-    }
-
     /// Mutable access to every weight tensor across layers.
     pub fn weights_mut(&mut self) -> Vec<&mut Tensor> {
         self.layers
@@ -298,84 +208,5 @@ mod tests {
     fn param_count_sums_layers() {
         let m = xor_like_model();
         assert_eq!(m.param_count(), (2 * 8 + 8) + (8 * 2 + 2));
-    }
-
-    fn bits(t: &Tensor) -> Vec<u32> {
-        t.as_slice().iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn frozen_forward_is_bit_identical_to_dense_forward() {
-        let mut m = Sequential::new("freeze")
-            .push(Dense::new(6, 40, 11))
-            .push(Relu::new())
-            .push(Dense::new(40, 4, 12));
-        let x = Tensor::from_vec((0..6).map(|i| (i as f32 - 2.5) * 0.3).collect(), &[1, 6])
-            .unwrap();
-        let report = m.freeze_encoded().unwrap();
-        assert!(report.dense_bytes > 0);
-        assert!(
-            report.ratio() < 0.55,
-            "resident/dense ratio {} not < 0.55",
-            report.ratio()
-        );
-        let frozen = m.forward(&x);
-        // weights_mut() drops the frozen state but keeps the reconstructed
-        // dense weights, so the dense forward must reproduce the frozen
-        // output to the bit.
-        let _ = m.weights_mut();
-        let dense = m.forward(&x);
-        assert_eq!(bits(&frozen), bits(&dense));
-    }
-
-    #[test]
-    fn export_import_round_trip_is_bit_identical() {
-        let mut src = Sequential::new("export")
-            .push(Dense::new(6, 40, 21))
-            .push(Relu::new())
-            .push(Dense::new(40, 4, 22));
-        src.freeze_encoded().unwrap();
-        let x = Tensor::from_vec((0..6).map(|i| (i as f32 - 2.5) * 0.3).collect(), &[1, 6])
-            .unwrap();
-        let want = src.forward(&x);
-        let mats: Vec<_> = src.exported_weights().into_iter().cloned().collect();
-        assert_eq!(mats.len(), 2, "two Dense layers export two matrices");
-
-        // A model with different seeds: importing must overwrite its state
-        // with the stored streams, making the forward bit-identical.
-        let mut dst = Sequential::new("import")
-            .push(Dense::new(6, 40, 91))
-            .push(Relu::new())
-            .push(Dense::new(40, 4, 92));
-        let report = dst.import_weights(mats.clone()).unwrap();
-        assert!(report.resident_bytes > 0);
-        assert_eq!(bits(&dst.forward(&x)), bits(&want));
-
-        // Count mismatches are typed errors, not partial installs silently
-        // accepted.
-        let mut short = Sequential::new("short")
-            .push(Dense::new(6, 40, 1))
-            .push(Relu::new())
-            .push(Dense::new(40, 4, 2));
-        assert!(short.import_weights(mats[..1].to_vec()).is_err());
-        let mut long_mats = mats.clone();
-        long_mats.push(mats[0].clone());
-        assert!(short.import_weights(long_mats).is_err());
-    }
-
-    #[test]
-    fn step_unfreezes_and_training_still_converges() {
-        let mut m = xor_like_model();
-        m.freeze_encoded().unwrap();
-        let x = Tensor::from_vec(vec![1.0, 0.0], &[1, 2]).unwrap();
-        m.train_example(&x, 0);
-        m.step(0.1, 1);
-        // After a step the weights changed; forward must reflect the update
-        // (i.e. not serve a stale frozen snapshot).
-        let before = m.forward(&x);
-        m.train_example(&x, 0);
-        m.step(0.5, 1);
-        let after = m.forward(&x);
-        assert_ne!(bits(&before), bits(&after));
     }
 }

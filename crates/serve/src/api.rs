@@ -13,11 +13,11 @@
 
 use spark_codec::{analysis, decode_stream, EncodedTensor, NibbleStream};
 use spark_data::ModelProfile;
-use spark_nn::layers::{Dense, Relu};
-use spark_nn::{FreezeReport, ModelWorkload, Sequential};
+use spark_nn::layers::Dense;
+use spark_nn::ModelWorkload;
 use spark_quant::{Codec, MagnitudeCodes, MagnitudeQuantizer, SparkCodec};
 use spark_sim::{AcceleratorKind, PrecisionProfile, SimConfig, WorkloadReport};
-use spark_tensor::Tensor;
+use spark_tensor::{ops, EncodedMatrix, Tensor};
 use spark_util::json::{ToJson, Value};
 
 /// Bit-width every serving-path quantization uses (the paper's INT8
@@ -223,68 +223,108 @@ pub const INFER_OUTPUTS: usize = 10;
 /// an [`InferModel`] gets bit-identical weights, which is what makes the
 /// loopback bit-identity test against `/v1/infer` meaningful.
 pub const INFER_SEED: u64 = 0x5134_11CE;
-/// Reserved blockstore names the serving model's frozen weight matrices
+/// Reserved blockstore names the serving model's encoded weight matrices
 /// persist under, in layer order. `spark store put --infer-model` writes
 /// them; `spark serve --store <dir>` cold-loads from them when all are
 /// present.
 pub const STORE_MODEL_KEYS: [&str; 2] = ["__model/infer/w0", "__model/infer/w1"];
 
-/// The `/v1/infer` model: a deterministic seeded MLP whose weights are
-/// frozen into SPARK nibble streams at construction. Every forward pass
-/// runs the decode-fused GEMM directly over the encoded weights — the
-/// dense `f32` weight matrices are only materialized transiently during
-/// the freeze, so the resident weight footprint is the encoded form.
+/// `(k, n)` of each layer's weight matrix, in layer order.
+const INFER_LAYERS: [(usize, usize); 2] =
+    [(INFER_INPUTS, INFER_HIDDEN), (INFER_HIDDEN, INFER_OUTPUTS)];
+
+/// Resident footprint of the serving model's weights.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WeightFootprint {
+    /// Bytes of SPARK containers + sign planes resident for the weights.
+    pub resident_bytes: usize,
+    /// Bytes the same weights would occupy as dense `f32`.
+    pub dense_bytes: usize,
+}
+
+impl WeightFootprint {
+    /// `resident_bytes / dense_bytes`; 0.0 for an empty model.
+    pub fn ratio(&self) -> f64 {
+        if self.dense_bytes == 0 {
+            0.0
+        } else {
+            self.resident_bytes as f64 / self.dense_bytes as f64
+        }
+    }
+}
+
+/// The `/v1/infer` model: a deterministic seeded two-layer MLP
+/// (`dense → relu → dense`, zero biases) whose weights are held only as
+/// SPARK nibble streams. Every forward pass runs the decode-fused GEMM
+/// directly over the encoded weights, so the dense `f32` matrices are
+/// never resident. The model is immutable: one instance serves any
+/// number of threads without a lock.
 pub struct InferModel {
-    model: Sequential,
-    report: FreezeReport,
+    weights: [EncodedMatrix; 2],
+    biases: [Vec<f32>; 2],
 }
 
 impl InferModel {
-    /// Builds and freezes the serving model.
+    /// Builds the serving model by encoding the seeded Glorot weights.
     ///
     /// # Errors
     ///
     /// Propagates encode failures (cannot happen for the seeded Glorot
     /// weights, but the fallible path is kept honest).
     pub fn new() -> Result<Self, String> {
-        let mut model = Sequential::new("serve-infer")
-            .push(Dense::new(INFER_INPUTS, INFER_HIDDEN, INFER_SEED))
-            .push(Relu::new())
-            .push(Dense::new(INFER_HIDDEN, INFER_OUTPUTS, INFER_SEED.wrapping_add(1)));
-        let report = model.freeze_encoded().map_err(|e| format!("freeze: {e}"))?;
-        Ok(Self { model, report })
+        let seeds = [INFER_SEED, INFER_SEED.wrapping_add(1)];
+        let mats = INFER_LAYERS
+            .iter()
+            .zip(seeds)
+            .map(|(&(k, n), seed)| {
+                EncodedMatrix::encode(Dense::new(k, n, seed).weight())
+                    .map_err(|e| format!("encode: {e}"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Self::from_matrices(mats)
     }
 
-    /// Cold-loads the serving model from stored frozen weight matrices
-    /// (layer order: the two [`Dense`] weights), skipping the
-    /// quantize-and-encode pass. The resulting model serves `/v1/infer`
-    /// responses bit-identical to the model the matrices were exported
-    /// from — the loopback test in `server.rs` enforces this.
+    /// Cold-loads the serving model from stored encoded weight matrices
+    /// (layer order), skipping the quantize-and-encode pass. The resulting
+    /// model serves `/v1/infer` responses bit-identical to the model the
+    /// matrices were exported from — the loopback test in `server.rs`
+    /// enforces this.
     ///
     /// # Errors
     ///
     /// Wrong matrix count, mismatched dimensions, or corrupt container
-    /// bytes.
-    pub fn from_matrices(
-        mats: impl IntoIterator<Item = spark_tensor::EncodedMatrix>,
-    ) -> Result<Self, String> {
-        let mut model = Sequential::new("serve-infer")
-            .push(Dense::new(INFER_INPUTS, INFER_HIDDEN, INFER_SEED))
-            .push(Relu::new())
-            .push(Dense::new(INFER_HIDDEN, INFER_OUTPUTS, INFER_SEED.wrapping_add(1)));
-        let report = model.import_weights(mats).map_err(|e| format!("import: {e}"))?;
-        Ok(Self { model, report })
+    /// bytes (every panel is decoded once here, so corruption fails the
+    /// load rather than a later request).
+    pub fn from_matrices(mats: impl IntoIterator<Item = EncodedMatrix>) -> Result<Self, String> {
+        let mats: Vec<EncodedMatrix> = mats.into_iter().collect();
+        let weights = <[EncodedMatrix; 2]>::try_from(mats)
+            .map_err(|m| format!("import: {} stored matrices, the model has 2 layers", m.len()))?;
+        for (em, &(k, n)) in weights.iter().zip(&INFER_LAYERS) {
+            if (em.k(), em.n()) != (k, n) {
+                return Err(format!(
+                    "import: stored matrix is {}x{}, layer expects {k}x{n}",
+                    em.k(),
+                    em.n()
+                ));
+            }
+            em.decode().map_err(|e| format!("import: {e}"))?;
+        }
+        let biases = INFER_LAYERS.map(|(_, n)| vec![0.0; n]);
+        Ok(Self { weights, biases })
     }
 
-    /// The frozen weight matrices in layer order — what `spark store put
+    /// The encoded weight matrices in layer order — what `spark store put
     /// --infer-model` persists and [`InferModel::from_matrices`] reloads.
-    pub fn export_matrices(&self) -> Vec<spark_tensor::EncodedMatrix> {
-        self.model.exported_weights().into_iter().cloned().collect()
+    pub fn export_matrices(&self) -> Vec<EncodedMatrix> {
+        self.weights.to_vec()
     }
 
-    /// Encoded resident bytes / dense `f32` bytes for the frozen weights.
-    pub fn report(&self) -> FreezeReport {
-        self.report
+    /// Encoded resident bytes / dense `f32` bytes for the weights.
+    pub fn report(&self) -> WeightFootprint {
+        WeightFootprint {
+            resident_bytes: self.weights.iter().map(EncodedMatrix::resident_bytes).sum(),
+            dense_bytes: self.weights.iter().map(EncodedMatrix::dense_bytes).sum(),
+        }
     }
 
     /// Runs one forward pass and serializes the `/v1/infer` response body.
@@ -292,7 +332,7 @@ impl InferModel {
     /// # Errors
     ///
     /// Wrong input width or non-finite values.
-    pub fn infer(&mut self, values: &[f32]) -> Result<Value, String> {
+    pub fn infer(&self, values: &[f32]) -> Result<Value, String> {
         if values.len() != INFER_INPUTS {
             return Err(format!(
                 "infer expects exactly {INFER_INPUTS} values, got {}",
@@ -304,19 +344,24 @@ impl InferModel {
         }
         let x = Tensor::from_vec(values.to_vec(), &[1, INFER_INPUTS])
             .map_err(|e| e.to_string())?;
-        let logits = self.model.forward(&x);
+        let dense = |x: &Tensor, layer: usize| {
+            ops::matmul_bias_encoded(x, &self.weights[layer], &self.biases[layer])
+                .map_err(|e| e.to_string())
+        };
+        let logits = dense(&ops::relu(&dense(&x, 0)?), 1)?;
         let l = logits.as_slice();
         let argmax = l
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .map_or(0, |(i, _)| i);
+        let report = self.report();
         Ok(Value::object([
             ("outputs", Value::Array(l.iter().map(|v| Value::Num(f64::from(*v))).collect())),
             ("argmax", Value::Num(argmax as f64)),
-            ("weight_bytes_encoded", Value::Num(self.report.resident_bytes as f64)),
-            ("weight_bytes_f32", Value::Num(self.report.dense_bytes as f64)),
-            ("weight_bytes_ratio", Value::Num(self.report.ratio())),
+            ("weight_bytes_encoded", Value::Num(report.resident_bytes as f64)),
+            ("weight_bytes_f32", Value::Num(report.dense_bytes as f64)),
+            ("weight_bytes_ratio", Value::Num(report.ratio())),
         ]))
     }
 }
@@ -456,5 +501,54 @@ mod tests {
         assert!(values_from_json(&missing).is_err());
         let bad = spark_util::json::parse("{\"values\": [1, \"x\"]}").unwrap();
         assert!(values_from_json(&bad).is_err());
+    }
+
+    /// FNV-1a 64 of the compact `/v1/infer` bodies for 256 seeded inputs,
+    /// recorded from the earlier `spark_nn::Sequential`-based serving
+    /// model. The loopback tests compare the server with a local model
+    /// built by the same code, so only a pinned constant catches drift
+    /// both sides share.
+    const PINNED_INFER_DIGEST: u64 = 0x51d1_9c78_9e5e_b060;
+
+    fn infer_digest(model: &InferModel) -> u64 {
+        let mut rng = spark_util::Rng::seed_from_u64(0x1AFE_D161);
+        let mut h = spark_util::Fnv1a::new();
+        for _ in 0..256 {
+            let v: Vec<f32> = (0..INFER_INPUTS).map(|_| rng.gen_f32() * 4.0 - 2.0).collect();
+            h.update(model.infer(&v).unwrap().to_string_compact().as_bytes());
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn infer_responses_match_the_pinned_digest() {
+        let model = InferModel::new().unwrap();
+        assert_eq!(infer_digest(&model), PINNED_INFER_DIGEST);
+        let cold = InferModel::from_matrices(model.export_matrices()).unwrap();
+        assert_eq!(infer_digest(&cold), PINNED_INFER_DIGEST);
+    }
+
+    #[test]
+    fn from_matrices_rejects_bad_weights_with_typed_errors() {
+        let mats = InferModel::new().unwrap().export_matrices();
+        // Matrix count.
+        assert!(InferModel::from_matrices(mats[..1].to_vec()).is_err());
+        let mut three = mats.clone();
+        three.push(mats[0].clone());
+        assert!(InferModel::from_matrices(three).is_err());
+        // Layer dimensions.
+        let swapped = vec![mats[1].clone(), mats[0].clone()];
+        let err = InferModel::from_matrices(swapped).err().expect("swapped layers must fail");
+        assert!(err.contains("layer expects"), "{err}");
+        // Corrupt container bytes: one flipped payload byte in panel 0
+        // fails the load, not a later request.
+        let em = &mats[0];
+        let mut panels: Vec<Vec<u8>> =
+            (0..em.panels()).map(|p| em.panel_container(p).to_vec()).collect();
+        panels[0][spark_codec::HEADER_LEN] ^= 0x5A;
+        let signs = (0..em.panels()).map(|p| em.panel_signs(p).to_vec()).collect();
+        let corrupt =
+            EncodedMatrix::from_raw_parts(em.k(), em.n(), em.profile(), panels, signs).unwrap();
+        assert!(InferModel::from_matrices([corrupt, mats[1].clone()]).is_err());
     }
 }

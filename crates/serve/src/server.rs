@@ -122,18 +122,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// One shard pool's private machinery: its batchers and its infer model.
-/// Shards share nothing here — a wedged batcher or poisoned model mutex
-/// stays that shard's problem.
+/// One shard pool's private machinery: its batchers. Shards share
+/// nothing here — a wedged batcher stays that shard's problem.
 struct ShardCtx {
     encode_batcher: Batcher<(Vec<u8>, f32), Value>,
     decode_batcher: Batcher<NibbleStream, Result<Value, String>>,
     sim_batcher: Batcher<SimJob, Value>,
-    /// The `/v1/infer` model, weights resident as SPARK nibble streams.
-    /// A mutex (not a batcher) because one fused forward pass is cheap
-    /// and the layer cache in `Sequential` needs `&mut`. Seeded
-    /// identically in every shard, so responses are shard-independent.
-    infer: Mutex<api::InferModel>,
 }
 
 /// Shared state every router and shard worker holds an `Arc` of.
@@ -146,6 +140,9 @@ struct Ctx {
     deadline: Duration,
     chaos: bool,
     shards: Vec<ShardCtx>,
+    /// The `/v1/infer` model, weights resident as SPARK nibble streams.
+    /// One immutable copy serves every shard worker without a lock.
+    infer: api::InferModel,
     /// The persistent tensor store behind `/v1/tensors`, when attached.
     /// All shards share it — the store does its own locking and group
     /// commit, so CRUD traffic from any shard interleaves safely.
@@ -215,7 +212,7 @@ impl Server {
             None => None,
         };
         // Cold start: when the store holds the complete serving model
-        // under the reserved keys, every shard loads those exact nibble
+        // under the reserved keys, the server loads those exact nibble
         // streams instead of re-encoding from the seed. A partial model
         // is refused outright — serving half-stale weights silently would
         // break the bit-identity contract.
@@ -241,6 +238,11 @@ impl Server {
             }
             None => None,
         };
+        let infer = match stored_model {
+            Some(mats) => api::InferModel::from_matrices(mats),
+            None => api::InferModel::new(),
+        }
+        .map_err(std::io::Error::other)?;
 
         let mut shards = Vec::with_capacity(shard_count);
         let mut batcher_handles = Vec::with_capacity(shard_count);
@@ -303,11 +305,6 @@ impl Server {
                     },
                 )?
             };
-            let infer = match &stored_model {
-                Some(mats) => api::InferModel::from_matrices(mats.iter().cloned()),
-                None => api::InferModel::new(),
-            }
-            .map_err(std::io::Error::other)?;
             batcher_handles.push((
                 encode_batcher.clone(),
                 decode_batcher.clone(),
@@ -317,7 +314,6 @@ impl Server {
                 encode_batcher,
                 decode_batcher,
                 sim_batcher,
-                infer: Mutex::new(infer),
             });
         }
 
@@ -330,6 +326,7 @@ impl Server {
             deadline: config.request_deadline,
             chaos: config.chaos_endpoints,
             shards,
+            infer,
             store,
         });
 
@@ -952,7 +949,7 @@ fn route<'a>(ctx: &'a Ctx, shard_id: usize, req: &Request) -> Routed<'a> {
         },
         ("POST", "/v1/simulate") => simulate_endpoint(ctx, shard, req),
         ("POST", "/v1/infer") => match parse_values(req) {
-            Ok(values) => infer_endpoint(ctx, shard, &values),
+            Ok(values) => infer_endpoint(ctx, &values),
             Err(msg) => bad_request(&m.infer, &msg),
         },
         ("GET", "/v1/tensors") => tensors_list(ctx),
@@ -1184,13 +1181,9 @@ fn decode_endpoint<'a>(ctx: &'a Ctx, shard: &ShardCtx, hex: &str) -> Routed<'a> 
     }
 }
 
-fn infer_endpoint<'a>(ctx: &'a Ctx, shard: &ShardCtx, values: &[f32]) -> Routed<'a> {
+fn infer_endpoint<'a>(ctx: &'a Ctx, values: &[f32]) -> Routed<'a> {
     let stats = &ctx.metrics.infer;
-    // A poisoned lock only means another request panicked mid-forward;
-    // the model itself is stateless between requests (the layer caches
-    // are overwritten by every forward), so serving on is sound.
-    let mut model = shard.infer.lock().unwrap_or_else(|e| e.into_inner());
-    match model.infer(values) {
+    match ctx.infer.infer(values) {
         Ok(body) => ok(stats, body),
         Err(msg) => bad_request(stats, &msg),
     }
@@ -1281,23 +1274,67 @@ mod tests {
 
     #[test]
     fn infer_loopback_is_bit_identical_to_local_model() {
-        let server = start_test_server();
+        // Two shard pools, four concurrent clients: every worker reads
+        // the one shared model at once, with no lock, and every reply
+        // must still be the bytes a local model produces.
+        const CLIENTS: usize = 4;
+        const REQUESTS: usize = 16;
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            shards: 2,
+            queue_depth: 16,
+            max_batch: 8,
+            ..ServeConfig::default()
+        })
+        .unwrap();
         let addr = server.addr().to_string();
-        let values: Vec<f32> =
-            (0..api::INFER_INPUTS).map(|i| ((i as f32) * 0.37).cos() * 2.0).collect();
-        let body = format!(
-            "{{\"values\": [{}]}}",
-            values.iter().map(f32::to_string).collect::<Vec<_>>().join(", ")
-        );
-        let (status, reply) =
-            client_request(&addr, "POST", "/v1/infer", "application/json", body.as_bytes())
-                .unwrap();
-        assert_eq!(status, 200, "{:?}", String::from_utf8_lossy(&reply));
         // The seed is public: building the same model locally and running
         // the same fused forward must serialize to the very same bytes —
         // outputs, argmax, and footprint accounting included.
-        let local = api::InferModel::new().unwrap().infer(&values).unwrap();
-        assert_eq!(String::from_utf8(reply).unwrap(), local.to_string_compact());
+        let local = api::InferModel::new().unwrap();
+        let ring = HashRing::new(2);
+        std::thread::scope(|s| {
+            for c in 0..CLIENTS {
+                let (addr, local) = (&addr, &local);
+                // Clients alternate between tenants of shard 0 and 1.
+                let tenant = (0..)
+                    .map(|i| format!("client{c}-{i}"))
+                    .find(|t| ring.shard_for(t) == c % 2)
+                    .unwrap();
+                s.spawn(move || {
+                    for r in 0..REQUESTS {
+                        let n = (c * REQUESTS + r) as f32;
+                        let values: Vec<f32> = (0..api::INFER_INPUTS)
+                            .map(|i| ((i as f32) * 0.37 + n * 0.11).cos() * 2.0)
+                            .collect();
+                        let body = format!(
+                            "{{\"values\": [{}]}}",
+                            values.iter().map(f32::to_string).collect::<Vec<_>>().join(", ")
+                        );
+                        let (status, reply) = client_request_with_headers(
+                            addr,
+                            "POST",
+                            "/v1/infer",
+                            "application/json",
+                            &[("X-Spark-Tenant", &tenant)],
+                            body.as_bytes(),
+                        )
+                        .unwrap();
+                        assert_eq!(status, 200, "{:?}", String::from_utf8_lossy(&reply));
+                        let want = local.infer(&values).unwrap().to_string_compact();
+                        assert_eq!(String::from_utf8(reply).unwrap(), want, "client {c} #{r}");
+                    }
+                });
+            }
+        });
+        // Both shard pools served their half of the requests.
+        let (_, body) = client_request(&addr, "GET", "/metrics", "", b"").unwrap();
+        let v = spark_util::json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+        for (i, shard) in v.get("shards").unwrap().as_array().unwrap().iter().enumerate() {
+            let hits = shard.get("hits").unwrap().as_f64();
+            assert_eq!(hits, Some((CLIENTS * REQUESTS / 2) as f64), "shard {i} hits");
+        }
         server.shutdown();
         server.join();
     }

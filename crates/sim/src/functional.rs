@@ -253,12 +253,12 @@ pub fn run_layer(
     let qw = quantizer.quantize(weights)?;
 
     // DRAM format: aligned nibble streams.
-    let enc_a = encode_tensor(&qa.codes);
-    let enc_w = encode_tensor(&qw.codes);
+    let encoded_a = encode_tensor(&qa.codes);
+    let encoded_w = encode_tensor(&qw.codes);
 
     // Border decoders recover the (rounded) magnitudes.
-    let dec_a = decode_stream(&enc_a.stream)?;
-    let dec_w = decode_stream(&enc_w.stream)?;
+    let dec_a = decode_stream(&encoded_a.stream)?;
+    let dec_w = decode_stream(&encoded_w.stream)?;
     let mut stats = FunctionalStats {
         values_decoded: (dec_a.len() + dec_w.len()) as u64,
         ..FunctionalStats::default()

@@ -10,6 +10,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
+echo "==> benchmark build (outside the workspace, against spark-serve and spark-nn)"
+# benchmark/ is its own package; building it here catches an API change
+# in the crates it links that the workspace build alone would miss.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test -q --offline (full suite, SPARK_SLOW_TESTS=1)"
 SPARK_SLOW_TESTS=1 cargo test -q --workspace --offline
 
