@@ -13,7 +13,8 @@
 //! - `fused_b1_over_dense_b1` — a batch-1 GEMV over a BERT-base FFN
 //!   weight (`1 x 768 · 768 x 3072`), dense time over fused time. At
 //!   batch 1 every weight is decoded for one row of MACs, so this is the
-//!   decoder keeping pace with the MAC loop. Must stay ≥ 0.35.
+//!   decoder keeping pace with the MAC loop. Must stay ≥ 0.9: reading
+//!   fewer weight bytes, fused must not lose to dense at batch 1.
 //!
 //! Bit-identity is asserted before any timing: fused output must equal
 //! decode-then-turbo and the scalar reference to the bit, so the numbers

@@ -1,18 +1,18 @@
 //! Corruption sweep against the decode-fused GEMM plane.
 //!
 //! The fused engine ([`spark_tensor::gemm`]) streams SPARK containers
-//! straight into the B-panel packer of the blocked GEMM — weights are
-//! untrusted bytes by the time they reach the hot loop. This sweep pins
-//! the same contract the codec container plane has:
+//! straight into the B-panel packer of the blocked GEMM, and trusts them:
+//! an [`EncodedMatrix`] is immutable, so its panels are validated once,
+//! when [`EncodedMatrix::from_raw_parts`] builds it from untrusted bytes.
+//! This sweep pins the contract of that boundary:
 //!
 //! - **No panics** — a mutated panel container must surface as a typed
-//!   [`EncodedError`], never an unwind out of the packer or kernels.
-//! - **No silent math** — every corrupted operand must be rejected
-//!   *before* any decoded value reaches an accumulator, both on the
-//!   bulk [`EncodedMatrix::decode`] path and on the fused
-//!   [`matmul_encoded`](spark_tensor::ops::matmul_encoded) path. The
-//!   per-panel FNV checksum is re-verified on every GEMM call, so
-//!   `decode_ok` and `gemm_ok` must both be zero.
+//!   [`EncodedError`], never an unwind out of the constructor.
+//! - **No silent math** — every corrupted operand must be rejected at
+//!   construction, so no operand reaches the fused
+//!   [`matmul_encoded`](spark_tensor::ops::matmul_encoded) (or the bulk
+//!   [`EncodedMatrix::decode`]) and no decoded value reaches an
+//!   accumulator: `accepted` must be zero.
 //!
 //! Determinism: all shapes, values, and corruption sites derive from the
 //! caller's seed; two sweeps with the same `(seed, trials)` serialize to
@@ -20,13 +20,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use spark_tensor::{ops, EncodedError, EncodedMatrix, Tensor};
+use spark_tensor::{EncodedError, EncodedMatrix, Tensor};
 use spark_util::json::Value;
 use spark_util::Rng;
 
 use crate::mutate;
 
-/// Typed-error tallies for one corrupted-operand surface.
+/// Typed-error tallies for the corrupted-operand constructor.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct FusedErrorCounts {
     container: u64,
@@ -59,19 +59,15 @@ impl FusedErrorCounts {
 /// Aggregated outcome of one fused-GEMM corruption sweep.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FusedSweepReport {
-    /// Encoded operands corrupted and pushed through both paths.
+    /// Encoded operands corrupted and rebuilt from raw parts.
     pub trials: u64,
-    /// Unwinds caught escaping the decode or GEMM calls. Must be zero.
+    /// Unwinds caught escaping the constructor. Must be zero.
     pub panics: u64,
-    /// Corrupted operands whose bulk `decode()` succeeded. Must be zero:
-    /// every mutation breaks the per-panel checksum or length accounting.
-    pub decode_ok: u64,
-    /// Corrupted operands whose fused GEMM returned values. Must be zero.
-    pub gemm_ok: u64,
-    /// Typed errors from the bulk decode path.
-    decode_errors: FusedErrorCounts,
-    /// Typed errors from the fused GEMM path.
-    gemm_errors: FusedErrorCounts,
+    /// Corrupted operands the constructor accepted. Must be zero: every
+    /// mutation breaks the per-panel checksum or length accounting.
+    pub accepted: u64,
+    /// Typed errors from [`EncodedMatrix::from_raw_parts`].
+    typed_errors: FusedErrorCounts,
 }
 
 impl FusedSweepReport {
@@ -80,27 +76,21 @@ impl FusedSweepReport {
         Value::object([
             ("trials", Value::Num(self.trials as f64)),
             ("panics", Value::Num(self.panics as f64)),
-            ("decode_ok", Value::Num(self.decode_ok as f64)),
-            ("gemm_ok", Value::Num(self.gemm_ok as f64)),
-            ("decode_typed_errors", self.decode_errors.to_json()),
-            ("gemm_typed_errors", self.gemm_errors.to_json()),
+            ("accepted", Value::Num(self.accepted as f64)),
+            ("typed_errors", self.typed_errors.to_json()),
         ])
     }
 
     /// True when every corrupted operand was rejected with a typed error
-    /// on both paths and nothing unwound.
+    /// at construction and nothing unwound.
     pub fn contract_holds(&self) -> bool {
-        self.panics == 0
-            && self.decode_ok == 0
-            && self.gemm_ok == 0
-            && self.decode_errors.total() == self.trials
-            && self.gemm_errors.total() == self.trials
+        self.panics == 0 && self.accepted == 0 && self.typed_errors.total() == self.trials
     }
 }
 
-/// Builds a random encoded operand and corrupts one of its panel
-/// containers (bit flip or truncation), returning the rebuilt matrix.
-fn corrupted_operand(rng: &mut Rng) -> (usize, EncodedMatrix) {
+/// Encodes a random operand, corrupts one of its panel containers (bit
+/// flip or truncation), and rebuilds it through the raw-parts door.
+fn corrupted_operand(rng: &mut Rng) -> Result<EncodedMatrix, EncodedError> {
     let k = rng.gen_range(1..96);
     let n = rng.gen_range(1..48);
     let b = Tensor::from_fn(&[k, n], |_| rng.gen_range_f32(-2.0, 2.0));
@@ -115,35 +105,23 @@ fn corrupted_operand(rng: &mut Rng) -> (usize, EncodedMatrix) {
         mutate::truncate_container(&panels[victim], rng)
     };
     panels[victim] = mutated;
-    let rebuilt = EncodedMatrix::from_raw_parts(k, n, em.profile(), panels, signs)
-        .unwrap_or_else(|e| panic!("structural rebuild failed: {e}"));
-    (k, rebuilt)
+    EncodedMatrix::from_raw_parts(k, n, em.profile(), panels, signs)
 }
 
 /// Runs the fused-GEMM corruption sweep over `trials` encoded operands.
 ///
 /// Each trial encodes a fresh random weight matrix, mutates one panel
-/// container, then pushes the operand through both consumption paths —
-/// bulk [`EncodedMatrix::decode`] and the fused
-/// [`ops::matmul_encoded`] — under `catch_unwind`.
+/// container, then rebuilds the operand through
+/// [`EncodedMatrix::from_raw_parts`] under `catch_unwind`.
 pub fn sweep_fused(seed: u64, trials: usize) -> FusedSweepReport {
     let mut rng = Rng::seed_from_u64(seed ^ 0xf05e_dbea_7f10_0d5e);
     let mut report = FusedSweepReport { trials: trials as u64, ..FusedSweepReport::default() };
 
     for _ in 0..trials {
-        let (k, em) = corrupted_operand(&mut rng);
-        let m = rng.gen_range(1..8);
-        let a = Tensor::from_fn(&[m, k], |_| rng.gen_range_f32(-1.0, 1.0));
-
-        match catch_unwind(AssertUnwindSafe(|| em.decode())) {
+        match catch_unwind(AssertUnwindSafe(|| corrupted_operand(&mut rng))) {
             Err(_) => report.panics += 1,
-            Ok(Ok(_)) => report.decode_ok += 1,
-            Ok(Err(e)) => report.decode_errors.count(&e),
-        }
-        match catch_unwind(AssertUnwindSafe(|| ops::matmul_encoded(&a, &em))) {
-            Err(_) => report.panics += 1,
-            Ok(Ok(_)) => report.gemm_ok += 1,
-            Ok(Err(e)) => report.gemm_errors.count(&e),
+            Ok(Ok(_)) => report.accepted += 1,
+            Ok(Err(e)) => report.typed_errors.count(&e),
         }
     }
     report
@@ -165,24 +143,26 @@ mod tests {
     }
 
     #[test]
-    fn every_corruption_is_rejected_typed_on_both_paths() {
+    fn every_corruption_is_rejected_typed_at_construction() {
         let r = sweep_fused(11, 600);
         assert!(r.contract_holds(), "fused corruption contract violated: {r:?}");
-        // Both error families must actually occur: bit flips land in the
-        // container checks, truncations in container/IO accounting.
-        assert!(r.gemm_errors.container > 0, "{r:?}");
-        assert!(r.decode_errors.container > 0, "{r:?}");
+        // Bit flips land in the header, checksum and padding checks,
+        // truncations in the payload-length check: all container errors.
+        assert!(r.typed_errors.container > 0, "{r:?}");
     }
 
     #[test]
     fn clean_operands_still_work_under_the_same_harness() {
-        // Sanity for the harness itself: an uncorrupted operand passes
-        // both paths, so the zero-ok counts above measure the corruption,
-        // not a broken fixture.
+        // Sanity for the harness itself: uncorrupted raw parts rebuild
+        // and multiply, so the zero-accepted count above measures the
+        // corruption, not a broken fixture.
         let b = Tensor::from_fn(&[20, 17], |i| (i as f32 * 0.31).sin());
         let em = EncodedMatrix::encode(&b).unwrap();
-        assert!(em.decode().is_ok());
+        let panels = (0..em.panels()).map(|p| em.panel_container(p).to_vec()).collect();
+        let signs = (0..em.panels()).map(|p| em.panel_signs(p).to_vec()).collect();
+        let rebuilt = EncodedMatrix::from_raw_parts(20, 17, em.profile(), panels, signs).unwrap();
+        assert!(rebuilt.decode().is_ok());
         let a = Tensor::from_fn(&[3, 20], |i| (i as f32 * 0.17).cos());
-        assert!(ops::matmul_encoded(&a, &em).is_ok());
+        assert!(spark_tensor::ops::matmul_encoded(&a, &rebuilt).is_ok());
     }
 }

@@ -13,10 +13,11 @@
 //!   silent decode — never a panic — and measures silent-decode value
 //!   error against the paper's CM bound (±16 magnitude steps).
 //! - **Fused-GEMM plane** ([`fused`]) — mutated panel containers fed to
-//!   the decode-fused GEMM engine, proving the per-call checksum
-//!   re-verification rejects every corrupted weight operand with a typed
-//!   [`EncodedError`](spark_tensor::EncodedError) before any value
-//!   reaches an accumulator — and never panics out of the hot loop.
+//!   the constructor of the decode-fused GEMM's weight operand, proving
+//!   its once-per-matrix validation rejects every corrupted operand with
+//!   a typed [`EncodedError`](spark_tensor::EncodedError) before the
+//!   operand exists, so no value reaches an accumulator — and never
+//!   panics.
 //! - **Hardware plane** ([`hardware`]) — stuck-at and transient faults in
 //!   the PE MAC datapath via the zero-cost
 //!   [`MacFaultHook`](spark_sim::MacFaultHook), plus precision-tag flips

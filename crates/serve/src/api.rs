@@ -292,9 +292,9 @@ impl InferModel {
     ///
     /// # Errors
     ///
-    /// Wrong matrix count, mismatched dimensions, or corrupt container
-    /// bytes (every panel is decoded once here, so corruption fails the
-    /// load rather than a later request).
+    /// Wrong matrix count or mismatched dimensions. Corrupt container
+    /// bytes never get this far: [`EncodedMatrix::from_raw_parts`], the
+    /// constructor every stored matrix comes through, rejects them.
     pub fn from_matrices(mats: impl IntoIterator<Item = EncodedMatrix>) -> Result<Self, String> {
         let mats: Vec<EncodedMatrix> = mats.into_iter().collect();
         let weights = <[EncodedMatrix; 2]>::try_from(mats)
@@ -307,7 +307,6 @@ impl InferModel {
                     em.n()
                 ));
             }
-            em.decode().map_err(|e| format!("import: {e}"))?;
         }
         let biases = INFER_LAYERS.map(|(_, n)| vec![0.0; n]);
         Ok(Self { weights, biases })
@@ -541,14 +540,22 @@ mod tests {
         let err = InferModel::from_matrices(swapped).err().expect("swapped layers must fail");
         assert!(err.contains("layer expects"), "{err}");
         // Corrupt container bytes: one flipped payload byte in panel 0
-        // fails the load, not a later request.
+        // fails the load, as a typed error from the constructor a stored
+        // matrix comes through, before the model exists.
         let em = &mats[0];
         let mut panels: Vec<Vec<u8>> =
             (0..em.panels()).map(|p| em.panel_container(p).to_vec()).collect();
         panels[0][spark_codec::HEADER_LEN] ^= 0x5A;
         let signs = (0..em.panels()).map(|p| em.panel_signs(p).to_vec()).collect();
-        let corrupt =
-            EncodedMatrix::from_raw_parts(em.k(), em.n(), em.profile(), panels, signs).unwrap();
-        assert!(InferModel::from_matrices([corrupt, mats[1].clone()]).is_err());
+        let corrupt = EncodedMatrix::from_raw_parts(em.k(), em.n(), em.profile(), panels, signs);
+        assert!(
+            matches!(
+                corrupt,
+                Err(spark_tensor::EncodedError::Container(
+                    spark_codec::ContainerError::ChecksumMismatch { .. }
+                ))
+            ),
+            "{corrupt:?}"
+        );
     }
 }

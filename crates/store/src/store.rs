@@ -624,7 +624,8 @@ pub fn matrix_image(m: &EncodedMatrix) -> Vec<u8> {
 ///
 /// [`StoreError::Corrupt`] on structural violations,
 /// [`StoreError::Encoded`] when the raw parts fail the matrix's own
-/// shape invariants.
+/// validation (layout, or any panel container's header, checksum or
+/// length).
 pub fn parse_matrix_image(bytes: &[u8]) -> Result<EncodedMatrix, StoreError> {
     if bytes.len() < MATRIX_HEADER_LEN {
         return Err(StoreError::Corrupt(format!(

@@ -35,13 +35,21 @@
 //!
 //! # Trust boundary
 //!
-//! Container bytes are untrusted until validated. [`EncodedMatrix::decode`]
-//! goes through [`spark_codec::read_container`] (full validation);
-//! [`PanelDecoder::new`] re-validates the header — magic, version, count
-//! plausibility, payload length, FNV-1a checksum, padding nibble — on
-//! every fused GEMM call, so corrupted bytes smuggled in through
-//! [`EncodedMatrix::from_raw_parts`] surface as a typed [`EncodedError`],
-//! never a panic or a silently wrong output.
+//! An [`EncodedMatrix`] is immutable and its fields are private, so its
+//! bytes are validated exactly once, when the matrix is built, and
+//! trusted from then on. [`EncodedMatrix::from_raw_parts`] is the only
+//! door for untrusted bytes (store cold loads, the fault plane, tests): it
+//! checks every panel's header — magic, version, count plausibility, the
+//! element count the layout needs, payload length, FNV-1a checksum,
+//! padding nibble — plus the sign-plane length, and runs the bit-parallel
+//! length scan ([`spark_codec::bulk::resolve_len_with`]) so a forged but
+//! self-consistent header over a mismatched stream is caught too. Any
+//! violation is a typed [`EncodedError`], never a panic. The containers
+//! [`EncodedMatrix::encode`] writes are valid by construction (debug
+//! builds re-check them with the same validator). The fused GEMM's
+//! [`PanelDecoder`] therefore only decodes; [`EncodedMatrix::decode`]
+//! still goes through the full [`spark_codec::read_container`] path as an
+//! independent oracle.
 
 use crate::gemm::NR;
 use crate::{stats, ShapeError, Tensor};
@@ -255,7 +263,7 @@ impl EncodedMatrix {
             panels.push(bytes);
             signs.push(sign_bits);
         }
-        Ok(Self {
+        let em = Self {
             k,
             n,
             profile,
@@ -263,20 +271,23 @@ impl EncodedMatrix {
             signs,
             stats,
             dequant: dequant_table(profile),
-        })
+        };
+        debug_assert!(em.validate().is_ok(), "encode wrote an invalid panel");
+        Ok(em)
     }
 
-    /// Reassembles a matrix from raw parts *without validating the
-    /// container bytes* — the zero-copy load path, and the door the fault
-    /// plane walks corrupted bytes through. Only the structural
-    /// invariants the fused packer indexes by are checked here; byte-level
-    /// corruption surfaces later as a typed [`EncodedError`] from
-    /// [`Self::decode`] or the fused GEMM, never as a panic.
+    /// Reassembles a matrix from raw parts — the zero-copy load path, and
+    /// the door the fault plane walks corrupted bytes through. This is the
+    /// trust boundary: every panel container and sign plane is validated
+    /// here, once, so the fused GEMM never re-checks them.
     ///
     /// # Errors
     ///
     /// [`EncodedError::Shape`] when the panel or sign-plane layout does
-    /// not match the dimensions.
+    /// not match the dimensions; [`EncodedError::Container`] for a bad
+    /// header, length, checksum or padding nibble, or an element count
+    /// that disagrees with the layout or with the stream itself;
+    /// [`EncodedError::Decode`] for a stream that ends inside a long code.
     pub fn from_raw_parts(
         k: usize,
         n: usize,
@@ -292,18 +303,7 @@ impl EncodedMatrix {
                 signs.len(),
             ))));
         }
-        for (p, s) in signs.iter().enumerate() {
-            let w = NR.min(n - p * NR);
-            if s.len() != (k * w).div_ceil(8) {
-                return Err(EncodedError::Shape(ShapeError::new(format!(
-                    "panel {p} sign plane holds {} bytes, {} elements need {}",
-                    s.len(),
-                    k * w,
-                    (k * w).div_ceil(8),
-                ))));
-            }
-        }
-        Ok(Self {
+        let em = Self {
             k,
             n,
             profile,
@@ -311,7 +311,27 @@ impl EncodedMatrix {
             signs,
             stats: spark_codec::CodeStats::new(),
             dequant: dequant_table(profile),
-        })
+        };
+        em.validate()?;
+        Ok(em)
+    }
+
+    /// Checks every panel's sign-plane length and container (see
+    /// [`validate_container`]) against the `k x n` layout. Requires one
+    /// container and one sign plane per panel.
+    fn validate(&self) -> Result<(), EncodedError> {
+        for (p, (container, signs)) in self.panels.iter().zip(&self.signs).enumerate() {
+            let elements = self.k * self.panel_width(p);
+            if signs.len() != elements.div_ceil(8) {
+                return Err(EncodedError::Shape(ShapeError::new(format!(
+                    "panel {p} sign plane holds {} bytes, {elements} elements need {}",
+                    signs.len(),
+                    elements.div_ceil(8),
+                ))));
+            }
+            validate_container(container, elements)?;
+        }
+        Ok(())
     }
 
     /// Depth (rows) of the logical `k x n` operand.
@@ -375,9 +395,9 @@ impl EncodedMatrix {
         self.resident_bytes() as f64 / self.dense_bytes() as f64
     }
 
-    /// Opens a validating streaming decoder over panel `p` for the fused
-    /// GEMM packer.
-    pub(crate) fn panel_decoder(&self, p: usize) -> Result<PanelDecoder<'_>, EncodedError> {
+    /// Bulk-decodes panel `p` for the fused GEMM packer. The container was
+    /// validated when the matrix was built, so this cannot fail.
+    pub(crate) fn panel_decoder(&self, p: usize) -> PanelDecoder<'_> {
         PanelDecoder::new(
             &self.panels[p],
             &self.signs[p],
@@ -420,12 +440,84 @@ impl EncodedMatrix {
     }
 }
 
-/// Decoder over one panel's container bytes: validates the header eagerly
-/// (including the FNV-1a checksum, so a corrupted payload is rejected
-/// *before* any value reaches an accumulator), bulk-decodes the whole code
-/// stream through the bit-parallel engine ([`spark_codec::bulk`]), then
-/// serves depth-blocks of dequantized values to the fused packer as pure
-/// table reads. The upfront code buffer is one byte per element — for a
+/// Reads one panel container's header and checks it against the layout:
+/// magic, version, count plausibility, the `expected` element count,
+/// payload length, FNV-1a checksum and padding nibble. It then runs the
+/// bit-parallel length scan, which a checksum cannot replace: a raw-parts
+/// caller can forge a consistent header (checksum included) over a stream
+/// that decodes to a different count or ends inside a long code.
+fn validate_container(container: &[u8], expected: usize) -> Result<(), EncodedError> {
+    if container.len() < HEADER_LEN {
+        return Err(ContainerError::Corrupt(format!(
+            "container holds {} bytes, the header alone is {HEADER_LEN}",
+            container.len()
+        ))
+        .into());
+    }
+    let (header, payload) = container.split_at(HEADER_LEN);
+    if header[0..4] != spark_codec::container::MAGIC {
+        let mut magic = [0u8; 4];
+        magic.copy_from_slice(&header[0..4]);
+        return Err(ContainerError::BadMagic(magic).into());
+    }
+    let version = u32::from_le_bytes(header[4..8].try_into().expect("4-byte slice"));
+    if version != spark_codec::container::VERSION {
+        return Err(ContainerError::BadVersion(version).into());
+    }
+    let elements = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
+    let nibbles = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice"));
+    let checksum = u64::from_le_bytes(header[24..32].try_into().expect("8-byte slice"));
+    if nibbles < elements || nibbles > elements.saturating_mul(2) {
+        return Err(ContainerError::Corrupt(format!(
+            "header says {elements} elements in {nibbles} nibbles, \
+             but every value takes one or two nibbles"
+        ))
+        .into());
+    }
+    let elements = elements as usize;
+    let nibbles = nibbles as usize;
+    if elements != expected {
+        return Err(ContainerError::Corrupt(format!(
+            "panel header says {elements} elements, the matrix layout needs {expected}"
+        ))
+        .into());
+    }
+    if payload.len() != nibbles.div_ceil(2) {
+        return Err(ContainerError::Corrupt(format!(
+            "panel payload holds {} bytes, header promises {}",
+            payload.len(),
+            nibbles.div_ceil(2)
+        ))
+        .into());
+    }
+    let found = stream_checksum(payload);
+    if found != checksum {
+        return Err(ContainerError::ChecksumMismatch { expected: checksum, found }.into());
+    }
+    if nibbles % 2 == 1 && payload[nibbles / 2] & 0x0F != 0 {
+        return Err(ContainerError::Corrupt("final padding nibble is not zero".into()).into());
+    }
+    let variant = spark_codec::DecodeVariant::detect();
+    let resolved = spark_codec::bulk::resolve_len_with(variant, payload, nibbles)?;
+    if resolved < elements {
+        return Err(ContainerError::Corrupt(format!(
+            "stream exhausted after {resolved} of {elements} elements"
+        ))
+        .into());
+    }
+    if resolved > elements {
+        return Err(ContainerError::Corrupt(format!(
+            "stream holds more than the promised {elements} elements"
+        ))
+        .into());
+    }
+    Ok(())
+}
+
+/// Decoder over one validated panel: bulk-decodes the whole code stream
+/// through the bit-parallel engine ([`spark_codec::bulk`]), then serves
+/// depth-blocks of dequantized values to the fused packer as pure table
+/// reads. The upfront code buffer is one byte per element — for a
 /// `KC x NR` panel group a few KiB, dwarfed by the `f32` panel buffers the
 /// GEMM already holds — and it removes the per-nibble FSM step from the
 /// KC-loop entirely.
@@ -438,107 +530,27 @@ pub(crate) struct PanelDecoder<'a> {
 }
 
 impl<'a> PanelDecoder<'a> {
-    /// Validates the container image and positions the decoder at the
-    /// first element.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`EncodedError::Container`] for any header, length, checksum,
-    /// or padding violation, and when the header's element count does not
-    /// match `expected`.
+    /// Decodes a container that [`validate_container`] accepted for
+    /// `elements` values and positions the decoder at the first element.
     pub(crate) fn new(
         container: &'a [u8],
         signs: &'a [u8],
-        expected: usize,
+        elements: usize,
         table: &'a DequantTable,
-    ) -> Result<Self, EncodedError> {
-        if container.len() < HEADER_LEN {
-            return Err(ContainerError::Corrupt(format!(
-                "container holds {} bytes, the header alone is {HEADER_LEN}",
-                container.len()
-            ))
-            .into());
-        }
+    ) -> Self {
         let (header, payload) = container.split_at(HEADER_LEN);
-        if header[0..4] != spark_codec::container::MAGIC {
-            let mut magic = [0u8; 4];
-            magic.copy_from_slice(&header[0..4]);
-            return Err(ContainerError::BadMagic(magic).into());
-        }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4-byte slice"));
-        if version != spark_codec::container::VERSION {
-            return Err(ContainerError::BadVersion(version).into());
-        }
-        let elements = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
-        let nibbles = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice"));
-        let checksum = u64::from_le_bytes(header[24..32].try_into().expect("8-byte slice"));
-        if nibbles < elements || nibbles > elements.saturating_mul(2) {
-            return Err(ContainerError::Corrupt(format!(
-                "header says {elements} elements in {nibbles} nibbles, \
-                 but every value takes one or two nibbles"
-            ))
-            .into());
-        }
-        let elements = elements as usize;
-        let nibbles = nibbles as usize;
-        if elements != expected {
-            return Err(ContainerError::Corrupt(format!(
-                "panel header says {elements} elements, the matrix layout needs {expected}"
-            ))
-            .into());
-        }
-        if payload.len() != nibbles.div_ceil(2) {
-            return Err(ContainerError::Corrupt(format!(
-                "panel payload holds {} bytes, header promises {}",
-                payload.len(),
-                nibbles.div_ceil(2)
-            ))
-            .into());
-        }
-        let found = stream_checksum(payload);
-        if found != checksum {
-            return Err(ContainerError::ChecksumMismatch { expected: checksum, found }.into());
-        }
-        if nibbles % 2 == 1 && payload[nibbles / 2] & 0x0F != 0 {
-            return Err(
-                ContainerError::Corrupt("final padding nibble is not zero".into()).into(),
-            );
-        }
-        if signs.len() < expected.div_ceil(8) {
-            return Err(EncodedError::Shape(ShapeError::new(format!(
-                "sign plane holds {} bytes, {expected} elements need {}",
-                signs.len(),
-                expected.div_ceil(8)
-            ))));
-        }
-        // Bulk-decode the whole panel now. A checksum-valid stream always
-        // holds every promised value, but raw-parts callers can forge a
-        // consistent header over a mismatched stream; the boundary pass
-        // exposes the real count (or a truncated long code) before any
-        // output is allocated, so the guards stay typed.
-        let variant = spark_codec::DecodeVariant::detect();
-        let resolved = spark_codec::bulk::resolve_len_with(variant, payload, nibbles)?;
-        if resolved < elements {
-            return Err(ContainerError::Corrupt(format!(
-                "stream exhausted after {resolved} of {elements} elements"
-            ))
-            .into());
-        }
-        if resolved > elements {
-            return Err(ContainerError::Corrupt(format!(
-                "stream holds more than the promised {elements} elements"
-            ))
-            .into());
-        }
+        let nibbles = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice")) as usize;
         let mut codes = Vec::with_capacity(elements);
+        let variant = spark_codec::DecodeVariant::detect();
         spark_codec::bulk::decode_payload_into(variant, payload, nibbles, &mut codes);
-        Ok(Self {
+        debug_assert_eq!(codes.len(), elements, "panel was not validated");
+        Self {
             signs,
             codes,
             elements,
             table,
             emitted: 0,
-        })
+        }
     }
 
     /// Decodes the next `rows` depth-rows of a `w`-wide panel into `dst`,
@@ -691,19 +703,98 @@ mod tests {
         assert!(EncodedMatrix::from_raw_parts(6, 18, em.profile(), panels, bad_signs).is_err());
     }
 
+    /// The panels and sign planes of `em`, as owned raw parts.
+    fn raw_parts(em: &EncodedMatrix) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        (
+            (0..em.panels()).map(|p| em.panel_container(p).to_vec()).collect(),
+            (0..em.panels()).map(|p| em.panel_signs(p).to_vec()).collect(),
+        )
+    }
+
     #[test]
-    fn corrupted_container_bytes_fail_typed_in_both_paths() {
+    fn corrupted_container_bytes_fail_typed_at_construction() {
         let t = random_matrix(8, 20, 17);
         let em = EncodedMatrix::encode(&t).unwrap();
-        let signs: Vec<Vec<u8>> = (0..em.panels()).map(|p| em.panel_signs(p).to_vec()).collect();
         for (offset, label) in [(0usize, "magic"), (4, "version"), (9, "elements"), (40, "payload")] {
-            let mut panels: Vec<Vec<u8>> =
-                (0..em.panels()).map(|p| em.panel_container(p).to_vec()).collect();
+            let (mut panels, signs) = raw_parts(&em);
             panels[1][offset] ^= 0x10;
-            let bad = EncodedMatrix::from_raw_parts(8, 20, em.profile(), panels, signs.clone())
-                .unwrap();
-            assert!(bad.decode().is_err(), "decode accepted corrupted {label}");
-            assert!(bad.panel_decoder(1).is_err(), "panel decoder accepted corrupted {label}");
+            let got = EncodedMatrix::from_raw_parts(8, 20, em.profile(), panels, signs);
+            assert!(
+                matches!(got, Err(EncodedError::Container(_))),
+                "from_raw_parts accepted corrupted {label}: {got:?}"
+            );
+        }
+    }
+
+    /// Deep enough that a panel payload spans many bulk-decode blocks.
+    const DEEP_K: usize = 67;
+
+    #[test]
+    fn every_header_bit_and_sampled_payload_bits_are_rejected_at_construction() {
+        let t = random_matrix(DEEP_K, 20, 23);
+        let em = EncodedMatrix::encode(&t).unwrap();
+        let mut rng = Rng::seed_from_u64(0xB17F_11B5);
+        let payload_bits = (em.panel_container(0).len() - HEADER_LEN) * 8;
+        let sampled = (0..256).map(|_| HEADER_LEN * 8 + rng.gen_range(0..payload_bits));
+        for bit in (0..HEADER_LEN * 8).chain(sampled) {
+            let (mut panels, signs) = raw_parts(&em);
+            panels[0][bit / 8] ^= 1 << (bit % 8);
+            let got = EncodedMatrix::from_raw_parts(DEEP_K, 20, em.profile(), panels, signs);
+            assert!(
+                matches!(got, Err(EncodedError::Container(_))),
+                "bit {bit} flip accepted: {got:?}"
+            );
+        }
+    }
+
+    /// A container whose header is self-consistent — right magic, version
+    /// and element count, plausible nibble count, matching payload length
+    /// and checksum, zero padding — over an arbitrary `payload`.
+    fn forged_container(elements: usize, nibbles: usize, payload: Vec<u8>) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
+        bytes.extend_from_slice(&spark_codec::container::MAGIC);
+        bytes.extend_from_slice(&spark_codec::container::VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(elements as u64).to_le_bytes());
+        bytes.extend_from_slice(&(nibbles as u64).to_le_bytes());
+        bytes.extend_from_slice(&stream_checksum(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes
+    }
+
+    #[test]
+    fn forged_header_over_mismatched_stream_is_rejected_at_construction() {
+        let (k, n) = (DEEP_K, 20);
+        let em = EncodedMatrix::encode(&random_matrix(k, n, 29)).unwrap();
+        let e = k * NR;
+        // A nibble with its high bit set opens a long code; any other
+        // nibble is a whole short code.
+        let forgeries = [
+            // e + 1 short codes: more values than the header promises.
+            ("over", e + 1, vec![0x00; (e + 1).div_ceil(2)]),
+            // (e - 1) long codes: fewer values than the header promises.
+            ("under", 2 * e - 2, vec![0x80; e - 1]),
+            // Ends on an opened long code (odd count, zero padding).
+            ("truncated", e + 1, {
+                let mut b = vec![0x00; (e + 1).div_ceil(2)];
+                *b.last_mut().unwrap() = 0x80;
+                b
+            }),
+        ];
+        for (label, nibbles, payload) in forgeries {
+            assert!(nibbles >= e && nibbles <= 2 * e, "{label}: implausible forgery");
+            let (mut panels, signs) = raw_parts(&em);
+            panels[0] = forged_container(e, nibbles, payload);
+            // Only the length scan can reject these: every error it
+            // returns names the stream, no header check's does.
+            let got = EncodedMatrix::from_raw_parts(k, n, em.profile(), panels, signs);
+            let typed = match (&got, label) {
+                (Err(EncodedError::Decode(DecodeError::TruncatedLongCode)), "truncated") => true,
+                (Err(EncodedError::Container(ContainerError::Corrupt(msg))), _) => {
+                    msg.contains("stream")
+                }
+                _ => false,
+            };
+            assert!(typed, "{label}: forged stream not rejected by the length scan: {got:?}");
         }
     }
 
@@ -861,7 +952,7 @@ mod tests {
                     const SENTINEL: u32 = 0x7FC0_BEEF;
                     for p in 0..em.panels() {
                         let w = em.panel_width(p);
-                        let mut dec = em.panel_decoder(p).unwrap();
+                        let mut dec = em.panel_decoder(p);
                         let mut kb = 0;
                         while kb < k {
                             let depth = KC.min(k - kb);

@@ -164,8 +164,8 @@ fn matmul_encoded_dims(a: &Tensor, b: &EncodedMatrix) -> Result<usize, EncodedEr
 ///
 /// # Errors
 ///
-/// Returns [`EncodedError`] on a dimension mismatch or when any panel
-/// container fails validation.
+/// Returns [`EncodedError`] on a dimension mismatch. The panels were
+/// validated when `b` was built.
 pub fn matmul_encoded(a: &Tensor, b: &EncodedMatrix) -> Result<Tensor, EncodedError> {
     let m = matmul_encoded_dims(a, b)?;
     let out = gemm::gemm_encoded_auto(a.as_slice(), b, m, Epilogue::None)?;
@@ -185,8 +185,8 @@ pub fn matmul_encoded(a: &Tensor, b: &EncodedMatrix) -> Result<Tensor, EncodedEr
 ///
 /// # Errors
 ///
-/// Returns [`EncodedError`] on a dimension mismatch or when any panel
-/// container fails validation.
+/// Returns [`EncodedError`] on a dimension mismatch. The panels were
+/// validated when `b` was built.
 pub fn matmul_nt_encoded(a: &Tensor, b: &EncodedMatrix) -> Result<Tensor, EncodedError> {
     matmul_encoded(a, b)
 }
@@ -196,8 +196,8 @@ pub fn matmul_nt_encoded(a: &Tensor, b: &EncodedMatrix) -> Result<Tensor, Encode
 ///
 /// # Errors
 ///
-/// Returns [`EncodedError`] on a dimension mismatch, a wrong bias length,
-/// or when any panel container fails validation.
+/// Returns [`EncodedError`] on a dimension mismatch or a wrong bias
+/// length.
 pub fn matmul_bias_encoded(
     a: &Tensor,
     b: &EncodedMatrix,
@@ -219,8 +219,8 @@ pub fn matmul_bias_encoded(
 ///
 /// # Errors
 ///
-/// Returns [`EncodedError`] on a dimension mismatch, a wrong bias length,
-/// or when any panel container fails validation.
+/// Returns [`EncodedError`] on a dimension mismatch or a wrong bias
+/// length.
 pub fn matmul_bias_relu_encoded(
     a: &Tensor,
     b: &EncodedMatrix,

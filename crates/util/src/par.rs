@@ -9,20 +9,28 @@
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Number of worker threads [`par_map`] will use: the machine's available
 /// parallelism, overridable (e.g. for deterministic timing runs) with the
 /// `SPARK_THREADS` environment variable.
+///
+/// Both are read once per process, at the first call, and cached: the
+/// parallelism lookup reads cgroup files on Linux (tens of µs), and every
+/// GEMM dispatch asks. Set `SPARK_THREADS` before the process starts;
+/// changing it at run time has no effect.
 pub fn thread_count() -> usize {
-    if let Ok(v) = std::env::var("SPARK_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
+    static COUNT: OnceLock<usize> = OnceLock::new();
+    *COUNT.get_or_init(|| {
+        if let Ok(v) = std::env::var("SPARK_THREADS") {
+            if let Ok(n) = v.parse::<usize>() {
+                return n.max(1);
+            }
         }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Maps `f` over `items` on up to [`thread_count`] scoped threads,
