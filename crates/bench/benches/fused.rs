@@ -15,12 +15,20 @@
 //!   batch 1 every weight is decoded for one row of MACs, so this is the
 //!   decoder keeping pace with the MAC loop. Must stay ≥ 0.9: reading
 //!   fewer weight bytes, fused must not lose to dense at batch 1.
+//! - `fused_over_dense_gemm` — dense GEMM time over fused time at
+//!   64x512x512, where `ops::matmul_encoded` takes the integer-domain
+//!   path; gated with a floor in `scripts/ci.sh`.
+//! - `int_rel_l2` — the integer path's worst per-row relative L2 error
+//!   against the `f32` oracle (`gemm_encoded_with`) on the same operands.
+//!   Must stay ≤ 1e-3. `f32_oracle_mean_ns` times the oracle itself.
 //!
-//! Bit-identity is asserted before any timing: fused output must equal
-//! decode-then-turbo and the scalar reference to the bit, so the numbers
-//! compare equal computations. `SPARK_BENCH_JSON=<path>` writes the JSON
-//! document; `SPARK_BENCH_QUICK=1` shrinks iteration counts.
+//! Before any timing, the `f32` oracle must equal decode-then-turbo and the
+//! scalar reference to the bit, and the auto path must be within the error
+//! bound of the oracle (bit-identical at batch 1, below `MR` rows).
+//! `SPARK_BENCH_JSON=<path>` writes the JSON document;
+//! `SPARK_BENCH_QUICK=1` shrinks iteration counts.
 
+use spark_tensor::gemm::{gemm_encoded_with, Epilogue, GemmVariant};
 use spark_tensor::{ops, EncodedMatrix, Tensor};
 use spark_util::bench::{bench, black_box};
 use spark_util::{Rng, Value};
@@ -37,6 +45,34 @@ fn gflops(m: usize, k: usize, n: usize, mean_ns: f64) -> f64 {
     2.0 * (m as f64) * (k as f64) * (n as f64) / mean_ns
 }
 
+/// The `f32` oracle: the decode-fused `f32` path under the detected variant.
+fn oracle(a: &Tensor, b: &EncodedMatrix) -> Vec<f32> {
+    gemm_encoded_with(
+        GemmVariant::detect(),
+        a.as_slice(),
+        b,
+        a.dims()[0],
+        Epilogue::None,
+    )
+    .expect("clean container decodes")
+}
+
+/// Worst per-row relative L2 error of `got` against `want` (rows of `n`).
+fn worst_row_rel_l2(got: &[f32], want: &[f32], n: usize) -> f64 {
+    got.chunks(n)
+        .zip(want.chunks(n))
+        .map(|(g, w)| {
+            let err: f64 = g
+                .iter()
+                .zip(w)
+                .map(|(&g, &w)| (f64::from(g) - f64::from(w)).powi(2))
+                .sum();
+            let norm: f64 = w.iter().map(|&w| f64::from(w).powi(2)).sum();
+            (err / norm.max(f64::MIN_POSITIVE)).sqrt()
+        })
+        .fold(0.0, f64::max)
+}
+
 fn main() {
     let (m, k, n) = (64, 512, 512);
     let (a, b) = operands(m, k, n, 0xF05E_D6E4);
@@ -44,15 +80,30 @@ fn main() {
 
     // The encoded weights replace the dense matrix entirely: the fused
     // path computes on the *reconstructed* values, so the comparison
-    // baseline is the dense GEMM over the decoded matrix, and outputs
-    // must match it (and the scalar reference) to the bit.
+    // baseline is the dense GEMM over the decoded matrix. The f32 oracle
+    // must match it (and the scalar reference) to the bit; the auto path
+    // (integer-domain at this batch) must stay within 1e-3 of the oracle.
     let reconstructed = encoded.decode().expect("clean container decodes");
-    let fused = ops::matmul_encoded(&a, &encoded).expect("dims");
+    let f32_oracle = oracle(&a, &encoded);
     let dense = ops::matmul(&a, &reconstructed).expect("dims");
     let reference = ops::matmul_reference(&a, &reconstructed).expect("dims");
-    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&fused), bits(&dense), "fused != decode-then-turbo");
-    assert_eq!(bits(&fused), bits(&reference), "fused != reference");
+    let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&f32_oracle),
+        bits(dense.as_slice()),
+        "f32 oracle != decode-then-turbo"
+    );
+    assert_eq!(
+        bits(&f32_oracle),
+        bits(reference.as_slice()),
+        "f32 oracle != reference"
+    );
+    let fused = ops::matmul_encoded(&a, &encoded).expect("dims");
+    let int_rel_l2 = worst_row_rel_l2(fused.as_slice(), &f32_oracle, n);
+    assert!(
+        int_rel_l2 <= 1e-3,
+        "auto path is {int_rel_l2:e} from the f32 oracle"
+    );
 
     let weight_bytes_encoded = encoded.resident_bytes();
     let weight_bytes_f32 = encoded.dense_bytes();
@@ -64,6 +115,9 @@ fn main() {
 
     let r_fused = bench(&format!("fused/encoded_gemm/{m}x{k}x{n}"), || {
         black_box(ops::matmul_encoded(&a, &encoded).expect("dims"));
+    });
+    let r_oracle = bench(&format!("fused/f32_oracle_gemm/{m}x{k}x{n}"), || {
+        black_box(oracle(&a, &encoded));
     });
     // Decode-then-GEMM with the decode inside the loop: what serving
     // encoded weights through the dense engine would actually cost.
@@ -84,9 +138,19 @@ fn main() {
     let (a1, w1) = operands(1, b1k, b1n, 0xB1_6E3F);
     let encoded1 = EncodedMatrix::encode(&w1).expect("finite operand encodes");
     let reconstructed1 = encoded1.decode().expect("clean container decodes");
-    let fused1 = ops::matmul_encoded(&a1, &encoded1).expect("dims");
+    let oracle1 = oracle(&a1, &encoded1);
     let dense1 = ops::matmul(&a1, &reconstructed1).expect("dims");
-    assert_eq!(bits(&fused1), bits(&dense1), "batch-1 fused != dense");
+    assert_eq!(
+        bits(&oracle1),
+        bits(dense1.as_slice()),
+        "batch-1 f32 oracle != dense"
+    );
+    let fused1 = ops::matmul_encoded(&a1, &encoded1).expect("dims");
+    assert_eq!(
+        bits(fused1.as_slice()),
+        bits(&oracle1),
+        "batch-1 auto path != f32 oracle"
+    );
     let r_fused_b1 = bench(&format!("fused/encoded_gemv/1x{b1k}x{b1n}"), || {
         black_box(ops::matmul_encoded(&a1, &encoded1).expect("dims"));
     });
@@ -104,6 +168,7 @@ fn main() {
     println!("fused/gflops                    {fused_gflops:>11.2}");
     println!("fused/over_decode_then          {fused_over_decode_then:>11.2}x");
     println!("fused/over_dense_gemm           {fused_over_dense:>11.2}x");
+    println!("fused/int_rel_l2                {int_rel_l2:>11.2e}");
     println!("fused/panel_decode_overhead     {:>10.1}%", decode_overhead * 100.0);
     println!("fused/b1_over_dense_b1          {fused_b1_over_dense_b1:>11.2}x");
 
@@ -122,6 +187,8 @@ fn main() {
             ("decode_only_mean_ns", Value::Num(r_decode_only.mean_ns)),
             ("fused_over_decode_then", Value::Num(fused_over_decode_then)),
             ("fused_over_dense_gemm", Value::Num(fused_over_dense)),
+            ("f32_oracle_mean_ns", Value::Num(r_oracle.mean_ns)),
+            ("int_rel_l2", Value::Num(int_rel_l2)),
             ("panel_decode_overhead", Value::Num(decode_overhead)),
             ("b1_shape", Value::Str(format!("1x{b1k}x{b1n}"))),
             ("fused_b1_mean_ns", Value::Num(r_fused_b1.mean_ns)),

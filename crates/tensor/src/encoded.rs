@@ -31,7 +31,10 @@
 //! to the bit. Both [`EncodedMatrix::decode`] (the decode-then-GEMM
 //! reference path) and the fused panel decoder dequantize through the
 //! same table, which is half of the fused path's bit-identity argument
-//! (the other half is the GEMM schedule itself, see [`crate::gemm`]).
+//! (the other half is the GEMM schedule itself, see [`crate::gemm`]). The
+//! integer-domain GEMM path reads the same codes and sign plane but skips
+//! the table: it takes each value as the signed code `±code` and applies
+//! `step` once per depth block.
 //!
 //! # Trust boundary
 //!
@@ -175,7 +178,7 @@ fn dequant_run(table: &DequantTable, codes: &[u8], signs: &[u8], e0: usize, out:
         <&[u8; NR]>::try_from(codes),
     ) {
         if e0.is_multiple_of(8) {
-            let bits = u16::from_le_bytes([signs[e0 >> 3], signs[(e0 >> 3) + 1]]) as u32;
+            let bits = sign_bits16(signs, e0);
             for (l, (slot, &code)) in out.iter_mut().zip(codes).enumerate() {
                 *slot = f32::from_bits(table[code as usize] ^ ((bits >> l) & 1) << 31);
             }
@@ -187,6 +190,19 @@ fn dequant_run(table: &DequantTable, codes: &[u8], signs: &[u8], e0: usize, out:
         let sign = u32::from(signs[e >> 3] >> (e & 7) & 1);
         *slot = f32::from_bits(table[code as usize] ^ sign << 31);
     }
+}
+
+/// The 16 sign bits of elements `e0..e0 + 16`, for `e0` a multiple of 8.
+#[inline(always)]
+fn sign_bits16(signs: &[u8], e0: usize) -> u32 {
+    u32::from(u16::from_le_bytes([signs[e0 >> 3], signs[(e0 >> 3) + 1]]))
+}
+
+/// `code` negated when `sign` (0 or 1) is set, branch-free.
+#[inline(always)]
+fn signed_code(code: u8, sign: u32) -> i16 {
+    let neg = -(sign as i16);
+    (i16::from(code) ^ neg) - neg
 }
 
 impl EncodedMatrix {
@@ -568,20 +584,94 @@ impl<'a> PanelDecoder<'a> {
         w: usize,
     ) -> Result<(), EncodedError> {
         debug_assert!(dst.len() >= rows * NR || rows == 0);
-        if rows * w > self.elements - self.emitted {
+        let e = self.claim(rows * w)?;
+        for r in 0..rows {
+            let e0 = e + r * w;
+            let row = &mut dst[r * NR..r * NR + w];
+            dequant_run(self.table, &self.codes[e0..e0 + w], self.signs, e0, row);
+        }
+        Ok(())
+    }
+
+    /// The integer-domain twin of [`Self::decode_rows`]: writes the next
+    /// `rows` depth-rows of a `w`-wide panel as signed codes (`±code`, no
+    /// dequantization) interleaved by depth pair, depth `2 * pair + h` of
+    /// lane `l` at `dst[(pair * NR + l) * 2 + h]`. An odd `rows` leaves the
+    /// second half of its last pair zero; lanes `w..NR` are left untouched
+    /// (the caller pre-zeroes them).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::decode_rows`].
+    pub(crate) fn decode_pairs(
+        &mut self,
+        dst: &mut [i16],
+        rows: usize,
+        w: usize,
+    ) -> Result<(), EncodedError> {
+        debug_assert!(dst.len() >= rows.div_ceil(2) * 2 * NR);
+        let e = self.claim(rows * w)?;
+        for (pair, out) in dst
+            .chunks_exact_mut(2 * NR)
+            .take(rows.div_ceil(2))
+            .enumerate()
+        {
+            let e0 = e + 2 * pair * w;
+            let out: &mut [i16; 2 * NR] = out.try_into().expect("2 * NR chunk");
+            if w == NR && 2 * pair + 1 < rows {
+                // Two full rows: their signs are two aligned u16s of the
+                // plane. Each row is signed lane-parallel (a per-lane bit
+                // test, no variable shift), then the rows are interleaved.
+                let codes: &[u8; 2 * NR] =
+                    self.codes[e0..e0 + 2 * NR].try_into().expect("two rows");
+                let (s0, s1) = (
+                    sign_bits16(self.signs, e0),
+                    sign_bits16(self.signs, e0 + NR),
+                );
+                let (mut r0, mut r1) = ([0i16; NR], [0i16; NR]);
+                for l in 0..NR {
+                    r0[l] = signed_code(codes[l], u32::from(s0 & 1 << l != 0));
+                    r1[l] = signed_code(codes[NR + l], u32::from(s1 & 1 << l != 0));
+                }
+                for l in 0..NR {
+                    out[2 * l] = r0[l];
+                    out[2 * l + 1] = r1[l];
+                }
+                continue;
+            }
+            for h in 0..2 {
+                let r = 2 * pair + h;
+                for l in 0..w {
+                    out[2 * l + h] = if r < rows {
+                        let e = e0 + h * w + l;
+                        signed_code(self.codes[e], u32::from(self.signs[e >> 3] >> (e & 7) & 1))
+                    } else {
+                        0
+                    };
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Claims the next `count` elements for the packer and returns the
+    /// index of the first.
+    ///
+    /// # Errors
+    ///
+    /// [`EncodedError::Container`] when the caller asks for more elements
+    /// than the panel holds (a packer-layout bug, kept typed).
+    fn claim(&mut self, count: usize) -> Result<usize, EncodedError> {
+        if count > self.elements - self.emitted {
             return Err(ContainerError::Corrupt(format!(
                 "stream holds more than the promised {} elements",
                 self.elements
             ))
             .into());
         }
-        for r in 0..rows {
-            let e0 = self.emitted + r * w;
-            let row = &mut dst[r * NR..r * NR + w];
-            dequant_run(self.table, &self.codes[e0..e0 + w], self.signs, e0, row);
-        }
-        self.emitted += rows * w;
-        Ok(())
+        let e0 = self.emitted;
+        self.emitted += count;
+        Ok(e0)
     }
 
     /// Asserts the panel is fully consumed: every promised element served
@@ -934,8 +1024,8 @@ mod tests {
             for n in [1, 15, 16, 17, 33] {
                 for k in [1, KC - 1, KC + 1, 2 * KC + 3] {
                     let ctx = format!("{profile:?} {k}x{n}");
-                    let (em, want) = raw_matrix(k, n, profile);
-                    let want: Vec<u32> = want
+                    let (em, codes) = raw_matrix(k, n, profile);
+                    let want: Vec<u32> = codes
                         .iter()
                         .map(|&(c, neg)| scalar_value(c, neg, step))
                         .collect();
@@ -978,17 +1068,65 @@ mod tests {
                         }
                         dec.finish().unwrap();
                     }
-                    // The whole fused GEMM against the dense engine over
-                    // decode()'s output. A NaN that arithmetic produces
-                    // has no IEEE-defined sign or payload, and the scalar
-                    // and SIMD engines order operands differently, so
-                    // NaN outputs only need to agree on being NaN.
+                    // The integer path's walk: signed codes interleaved by
+                    // depth pair, a zero closing an odd block's last pair,
+                    // lanes past the panel width untouched.
+                    for p in 0..em.panels() {
+                        let w = em.panel_width(p);
+                        let mut dec = em.panel_decoder(p);
+                        let mut kb = 0;
+                        while kb < k {
+                            let depth = KC.min(k - kb);
+                            let padded = depth.div_ceil(2) * 2;
+                            let mut dst = vec![i16::MIN; KC * NR];
+                            dec.decode_pairs(&mut dst[..padded * NR], depth, w).unwrap();
+                            for r in 0..padded {
+                                for l in 0..NR {
+                                    let got = dst[(r / 2 * NR + l) * 2 + r % 2];
+                                    let want = match (l < w, r < depth) {
+                                        (false, _) => i16::MIN,
+                                        (true, false) => 0,
+                                        (true, true) => {
+                                            let (c, neg) = codes[(kb + r) * n + p * NR + l];
+                                            if neg {
+                                                -i16::from(c)
+                                            } else {
+                                                i16::from(c)
+                                            }
+                                        }
+                                    };
+                                    assert_eq!(got, want, "pair decoder {ctx} ({}, {l})", kb + r);
+                                }
+                            }
+                            kb += depth;
+                        }
+                        dec.finish().unwrap();
+                    }
+                    // The whole fused f32 GEMM against the dense engine
+                    // over decode()'s output. A NaN that arithmetic
+                    // produces has no IEEE-defined sign or payload, and
+                    // the scalar and SIMD engines order operands
+                    // differently, so NaN outputs only need to agree on
+                    // being NaN.
                     let a = Tensor::from_fn(&[2, k], |i| (i % 5) as f32 - 1.5);
-                    let fused = crate::ops::matmul_encoded(&a, &em).unwrap();
+                    let fused = crate::gemm::gemm_encoded_with(
+                        crate::gemm::GemmVariant::detect(),
+                        a.as_slice(),
+                        &em,
+                        2,
+                        crate::gemm::Epilogue::None,
+                    )
+                    .unwrap();
                     let dense = crate::ops::matmul(&a, &em.decode().unwrap()).unwrap();
-                    for (f, d) in fused.as_slice().iter().zip(dense.as_slice()) {
+                    for (f, d) in fused.iter().zip(dense.as_slice()) {
                         let same = f.to_bits() == d.to_bits() || (f.is_nan() && d.is_nan());
                         assert!(same, "fused GEMM {ctx}: {f} vs {d}");
+                    }
+                    // Two rows are below MR: the auto path is that f32
+                    // path, to the bit (NaN payloads included).
+                    let auto = crate::ops::matmul_encoded(&a, &em).unwrap();
+                    for (g, f) in auto.as_slice().iter().zip(&fused) {
+                        assert_eq!(g.to_bits(), f.to_bits(), "auto GEMM {ctx}");
                     }
                 }
             }

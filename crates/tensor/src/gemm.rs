@@ -8,6 +8,8 @@
 //!
 //! # Bit-identity argument
 //!
+//! This argument covers the dense engine and the decode-fused `f32` path
+//! ([`gemm_encoded_with`], the oracle of the integer-domain path below).
 //! The reference kernel computes every output element as
 //!
 //! ```text
@@ -49,6 +51,45 @@
 //! into zero-padded contiguous panels first (the packing for
 //! [`Layout::Nt`] doubles as a blocked transpose, which is how
 //! `matmul_nt`/`matmul_tn` avoid materializing `transpose` results).
+//!
+//! # Integer-domain path
+//!
+//! The software analogue of the paper's MPE (§IV), which multiplies narrow
+//! integers and never widens a weight to float. [`gemm_encoded_int_with`]
+//! runs it under an explicit [`IntVariant`]; the auto entry behind
+//! `ops::matmul_encoded*` takes it when `m >= MR`, every element of `A` is
+//! finite, every row scale (and its product with the weight step) is a
+//! normal `f32`, and the host has AVX-512 VNNI or AVX2. Every other call
+//! stays on the `f32` path, so a GEMV is bit-identical to the oracle.
+//!
+//! * **Activations.** Row `r` of `A` becomes `i16` with the symmetric
+//!   scale `s_r = amax_r / 32767`: `q = rne(a * (32767 / amax_r))`.
+//! * **Weights.** The panel decoder (`PanelDecoder::decode_pairs`) emits
+//!   each SPARK code as a signed `i16` (sign-magnitude, `-255..=255`, 9
+//!   bits, so it does not fit the `i8` of `vpdpbusd`) into `KC`-deep
+//!   panels interleaved by depth pair: `dst[(pair * NR + lane) * 2 + h]`
+//!   holds depth `2 * pair + h`.
+//! * **MAC.** A 4-row x 4-panel tile accumulates `i32` sums, two depths per
+//!   instruction: 16 `vpdpwssd` per depth pair (512 MACs) on AVX-512 VNNI,
+//!   `vpmaddwd` + `vpaddd` on AVX2, plain loops in the scalar reference.
+//! * **Dequantize.** Once per `KC` block: `stripe += f32(acc) * (s_r *
+//!   step)`, a multiply then an add (never fused). The epilogue runs over
+//!   the stripe after the last block.
+//!
+//! **No accumulator can wrap.** A block sums at most `KC = 128` products
+//! of an `i16` activation (`|q| <= 32768`) and a weight (`|w| <= 255`), so
+//! every partial sum is bounded by `128 * 255 * 32768 = 1_069_547_520 <
+//! 2^31`; `vpmaddwd`'s pair sums (`2 * 255 * 32768`) are far inside `i32`
+//! as well. In-range rows quantize to `|q| <= 32767`, and the worst such
+//! block, `128 * 255 * 32767`, is pinned by a test.
+//!
+//! **Every tier is bit-identical.** Quantization is one shared routine;
+//! integer sums are exact, so the order a tier adds them in cannot matter;
+//! and every tier flushes with the same rounded `cvt`, multiply and add per
+//! element in the same block order.
+//! `crates/tensor/tests/fused_int_properties.rs` pins every tier to the
+//! scalar reference and the auto path to within a relative L2 of `1e-3`
+//! per row of the `f32` oracle.
 
 use crate::encoded::{EncodedError, EncodedMatrix};
 use crate::ops::apply_epilogue;
@@ -134,6 +175,56 @@ impl GemmVariant {
     }
 }
 
+/// Kernel tiers of the integer-domain decode-fused path (see the module
+/// docs). All tiers are bit-identical to [`IntVariant::Scalar`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IntVariant {
+    /// Portable integer reference.
+    Scalar,
+    /// `vpmaddwd` + `vpaddd` over 8-lane `i32` accumulators (requires
+    /// `avx2`).
+    Avx2,
+    /// `vpdpwssd` over 16-lane `i32` accumulators (requires `avx512f` and
+    /// `avx512vnni`).
+    Avx512Vnni,
+}
+
+impl IntVariant {
+    /// The fastest SIMD tier the running CPU supports, or `None` when it
+    /// has neither (the auto path then stays on `f32`).
+    pub fn detect() -> Option<Self> {
+        Self::available()
+            .into_iter()
+            .rev()
+            .find(|&v| v != IntVariant::Scalar)
+    }
+
+    /// Every tier the running CPU can execute (always includes
+    /// [`IntVariant::Scalar`]), for differential tests and benchmarks.
+    pub fn available() -> Vec<Self> {
+        let mut v = vec![IntVariant::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                v.push(IntVariant::Avx2);
+            }
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vnni") {
+                v.push(IntVariant::Avx512Vnni);
+            }
+        }
+        v
+    }
+
+    /// Short display name.
+    pub fn name(self) -> &'static str {
+        match self {
+            IntVariant::Scalar => "int-scalar",
+            IntVariant::Avx2 => "int-avx2",
+            IntVariant::Avx512Vnni => "int-avx512vnni",
+        }
+    }
+}
+
 /// Operand layout of the `A` and `B` arguments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
@@ -168,27 +259,28 @@ struct AStride {
 
 /// Zero-padded `NR`-wide panels with the first panel aligned to a cache
 /// line: `panels()[p * k * NR + kk * NR + l]` is panel `p`, depth `kk`,
-/// lane `l`.
-struct PackedB {
-    buf: Vec<f32>,
+/// lane `l` (the integer path's `i16` panels interleave depth pairs, see
+/// the module docs).
+struct PackedB<T = f32> {
+    buf: Vec<T>,
     off: usize,
 }
 
-impl PackedB {
+impl<T: Copy + Default> PackedB<T> {
     /// Allocates a zeroed panel buffer of `len` elements whose payload
     /// starts on a 64-byte boundary, so every panel row is one full-width
     /// aligned vector load.
     fn zeroed(len: usize) -> Self {
-        let buf = vec![0.0f32; len + 15];
+        let buf = vec![T::default(); len + 64 / std::mem::size_of::<T>() - 1];
         let off = buf.as_ptr().align_offset(64).min(buf.len() - len);
         Self { buf, off }
     }
 
-    fn panels(&self) -> &[f32] {
+    fn panels(&self) -> &[T] {
         &self.buf[self.off..]
     }
 
-    fn panels_mut(&mut self) -> &mut [f32] {
+    fn panels_mut(&mut self) -> &mut [T] {
         let off = self.off;
         &mut self.buf[off..]
     }
@@ -713,29 +805,37 @@ pub(crate) fn reference(
 /// `A · B` where `B` never exists as dense `f32` — each `KC x NR` block of
 /// each SPARK-encoded panel is decoded on the fly into the 64-byte-aligned
 /// scratch inside the cache-blocked loop.
+///
+/// Calls with `m >= MR` whose operands fit the integer range (see the
+/// module docs) take the integer-domain path on hosts with a SIMD
+/// [`IntVariant`]; everything else takes the `f32` path of
+/// [`gemm_encoded_with`].
 pub(crate) fn gemm_encoded_auto(
     a: &[f32],
     b: &EncodedMatrix,
     m: usize,
     epi: Epilogue<'_>,
 ) -> Result<Vec<f32>, EncodedError> {
-    gemm_encoded_impl(
-        GemmVariant::detect(),
-        a,
-        b,
-        m,
-        epi,
-        fused_workers(m, b.k(), b.n()),
-    )
+    let workers = fused_workers(m, b.k(), b.n());
+    if m >= MR && a.iter().all(|v| v.is_finite()) {
+        if let Some(variant) = IntVariant::detect() {
+            let qa = QuantRows::new(a, m, b.k());
+            if qa.in_range(b.profile().step()) {
+                return gemm_encoded_int_impl(variant, &qa, b, m, epi, workers);
+            }
+        }
+    }
+    gemm_encoded_impl(GemmVariant::detect(), a, b, m, epi, workers)
 }
 
-/// Runs the decode-fused kernels under an explicit dispatch `variant`, for
-/// differential tests and benchmarks. Output is bit-identical across
-/// variants, to `gemm_with` over the decoded matrix, and to the reference
-/// kernel — the fused packer reconstructs exactly the values
-/// [`EncodedMatrix::decode`] produces (same dequantization expression, no
-/// reassociation), and the micro-kernels downstream of the packer are the
-/// very same ones the dense path dispatches to.
+/// Runs the decode-fused `f32` kernels under an explicit dispatch
+/// `variant` — the oracle the integer-domain path is measured against.
+/// Output is bit-identical across variants, to `gemm_with` over the
+/// decoded matrix, and to the reference kernel — the fused packer
+/// reconstructs exactly the values [`EncodedMatrix::decode`] produces
+/// (same dequantization expression, no reassociation), and the
+/// micro-kernels downstream of the packer are the very same ones the dense
+/// path dispatches to.
 ///
 /// # Errors
 ///
@@ -772,8 +872,19 @@ pub(crate) fn gemm_encoded_impl(
     epi: Epilogue<'_>,
     workers: usize,
 ) -> Result<Vec<f32>, EncodedError> {
-    let (k, n) = (b.k(), b.n());
-    debug_assert_eq!(a.len(), m * k, "A operand length");
+    debug_assert_eq!(a.len(), m * b.k(), "A operand length");
+    fan_out_groups(b, m, workers, |g| fused_group(variant, a, b, m, g, epi))
+}
+
+/// Runs `group` for every panel group of `b` and assembles the `m x n`
+/// output from the returned `m x gw` stripes.
+fn fan_out_groups(
+    b: &EncodedMatrix,
+    m: usize,
+    workers: usize,
+    group: impl Fn(usize) -> Result<Vec<f32>, EncodedError> + Sync,
+) -> Result<Vec<f32>, EncodedError> {
+    let n = b.n();
     let mut out = vec![0.0f32; m * n];
     if m == 0 || n == 0 {
         return Ok(out);
@@ -784,11 +895,9 @@ pub(crate) fn gemm_encoded_impl(
     // output element is written by exactly one worker.
     let stripes: Vec<Result<Vec<f32>, EncodedError>> = if workers > 1 && groups > 1 {
         let gids: Vec<usize> = (0..groups).collect();
-        spark_util::par::par_map(&gids, |&g| fused_group(variant, a, b, m, g, epi))
+        spark_util::par::par_map(&gids, |&g| group(g))
     } else {
-        (0..groups)
-            .map(|g| fused_group(variant, a, b, m, g, epi))
-            .collect()
+        (0..groups).map(&group).collect()
     };
     for (g, stripe) in stripes.into_iter().enumerate() {
         let stripe = stripe?;
@@ -1019,10 +1128,357 @@ fn store_stripe(orow: &mut [f32], acc: &[f32; NR], jq: usize, last: bool, epi: E
     }
 }
 
+/// Largest quantized activation magnitude.
+const QMAX_A: f32 = 32767.0;
+/// `i16` elements of one `KC`-deep panel of the integer path's scratch.
+const PANEL_I16: usize = KC * NR;
+/// One integer register tile: `acc[r][q][lane]` is tile row `r`, lane
+/// `lane` of group panel `q`.
+type IntTile = [[[i32; NR]; GQ]; MR];
+
+/// `A` quantized for the integer-domain path: row `r` starts at
+/// `q[r * kp]`, where `kp` is `k` rounded up to even so the last depth
+/// pair of an odd `k` reads a zero, and the rows are zero-padded up to a
+/// multiple of `MR` so every tile is full.
+struct QuantRows {
+    q: Vec<i16>,
+    kp: usize,
+    /// `amax_r / 32767` per row (0 for an all-zero row).
+    scale: Vec<f32>,
+}
+
+impl QuantRows {
+    fn new(a: &[f32], m: usize, k: usize) -> Self {
+        let kp = k + k % 2;
+        let mut q = vec![0i16; m.div_ceil(MR) * MR * kp];
+        let mut scale = Vec::with_capacity(m);
+        for r in 0..m {
+            let row = &a[r * k..(r + 1) * k];
+            let amax = row.iter().fold(0.0f32, |mx, v| mx.max(v.abs()));
+            let inv = if amax > 0.0 { QMAX_A / amax } else { 0.0 };
+            for (d, &v) in q[r * kp..r * kp + k].iter_mut().zip(row) {
+                *d = round_half_even(v * inv) as i16;
+            }
+            scale.push(amax / QMAX_A);
+        }
+        Self { q, kp, scale }
+    }
+
+    /// Whether the weight `step`, every nonzero row scale and their
+    /// products are normal `f32`s — the range where quantizing and
+    /// flushing keep full `f32` precision, so the error bound holds.
+    fn in_range(&self, step: f32) -> bool {
+        step.is_normal()
+            && self
+                .scale
+                .iter()
+                .all(|&s| s == 0.0 || (s.is_normal() && (s * step).is_normal()))
+    }
+}
+
+/// Rounds `y` to the nearest integer, ties to even, for `|y| <= 2^22`:
+/// adding `1.5 * 2^23` lands in `[2^23, 2^24)`, where adjacent `f32`s are
+/// one apart. Unlike `f32::round_ties_even`, this needs no SSE4.1 (which
+/// baseline x86-64 lacks, so that call would not inline) and it
+/// vectorizes.
+#[inline(always)]
+fn round_half_even(y: f32) -> f32 {
+    const MAGIC: f32 = 12_582_912.0;
+    (y + MAGIC) - MAGIC
+}
+
+/// Runs the integer-domain decode-fused path (see the module docs) under
+/// an explicit `variant`, for differential tests and benchmarks. Every
+/// tier is bit-identical to [`IntVariant::Scalar`]. The auto path takes
+/// this path only for a finite `A` whose row scales are in range; outside
+/// that range the output is deterministic but its error is not bounded.
+///
+/// # Panics
+///
+/// When the running CPU cannot execute `variant` (it is not in
+/// [`IntVariant::available`]), or `a` holds fewer than `m * b.k()`
+/// elements.
+///
+/// # Errors
+///
+/// As [`gemm_encoded_with`].
+pub fn gemm_encoded_int_with(
+    variant: IntVariant,
+    a: &[f32],
+    b: &EncodedMatrix,
+    m: usize,
+    epi: Epilogue<'_>,
+) -> Result<Vec<f32>, EncodedError> {
+    assert!(
+        IntVariant::available().contains(&variant),
+        "{} is not supported by this CPU",
+        variant.name()
+    );
+    let qa = QuantRows::new(a, m, b.k());
+    gemm_encoded_int_impl(variant, &qa, b, m, epi, fused_workers(m, b.k(), b.n()))
+}
+
+fn gemm_encoded_int_impl(
+    variant: IntVariant,
+    qa: &QuantRows,
+    b: &EncodedMatrix,
+    m: usize,
+    epi: Epilogue<'_>,
+    workers: usize,
+) -> Result<Vec<f32>, EncodedError> {
+    let step = b.profile().step();
+    let factors: Vec<f32> = qa.scale.iter().map(|&s| s * step).collect();
+    fan_out_groups(b, m, workers, |g| {
+        fused_group_int(variant, qa, &factors, b, m, g, epi)
+    })
+}
+
+/// Computes one panel group of the integer-domain product into an
+/// `m x gw` stripe: each `KC` block is decoded once into signed `i16`
+/// pair-interleaved panels, every `MR`-row tile MACs it into `i32` and
+/// flushes `f32(acc) * factors[r]` into the stripe, and the epilogue runs
+/// after the last block.
+fn fused_group_int(
+    variant: IntVariant,
+    qa: &QuantRows,
+    factors: &[f32],
+    b: &EncodedMatrix,
+    m: usize,
+    g: usize,
+    epi: Epilogue<'_>,
+) -> Result<Vec<f32>, EncodedError> {
+    let k = b.k();
+    let p0 = g * GQ;
+    let p1 = (p0 + GQ).min(b.panels());
+    let j0 = p0 * NR;
+    let gw = (p1 - p0 - 1) * NR + b.panel_width(p1 - 1);
+    let mut stripe = vec![0.0f32; m * gw];
+    // Panels past `p1` and lanes past a ragged panel's width are never
+    // written, so they MAC as zeros.
+    let mut scratch = PackedB::<i16>::zeroed(GQ * PANEL_I16);
+    let mut decs: Vec<_> = (p0..p1).map(|p| b.panel_decoder(p)).collect();
+    let mut kb = 0;
+    while kb < k {
+        let depth = KC.min(k - kb);
+        let pairs = depth.div_ceil(2);
+        let dst = scratch.panels_mut();
+        for (q, dec) in decs.iter_mut().enumerate() {
+            let w = NR.min(gw - q * NR);
+            dec.decode_pairs(&mut dst[q * PANEL_I16..][..pairs * 2 * NR], depth, w)?;
+        }
+        let bbuf = &scratch.panels()[..GQ * PANEL_I16];
+        for i in (0..m).step_by(MR) {
+            let mut acc: IntTile = [[[0; NR]; GQ]; MR];
+            mac_tile(
+                variant,
+                &qa.q[i * qa.kp + kb..],
+                qa.kp,
+                bbuf,
+                pairs,
+                &mut acc,
+            );
+            flush_tile(
+                variant,
+                &acc,
+                &mut stripe[i * gw..],
+                gw,
+                &factors[i..m.min(i + MR)],
+            );
+        }
+        kb += depth;
+    }
+    for dec in &decs {
+        dec.finish()?;
+    }
+    if !matches!(epi, Epilogue::None) {
+        for row in stripe.chunks_exact_mut(gw) {
+            for (l, o) in row.iter_mut().enumerate() {
+                *o = apply_epilogue(*o, j0 + l, epi);
+            }
+        }
+    }
+    Ok(stripe)
+}
+
+/// Accumulates `pairs` depth pairs of an `MR`-row tile of quantized `A`
+/// (row pitch `astride`) against the [`GQ`] scratch panels of `b` into
+/// `acc`, under `variant`.
+fn mac_tile(
+    variant: IntVariant,
+    a: &[i16],
+    astride: usize,
+    b: &[i16],
+    pairs: usize,
+    acc: &mut IntTile,
+) {
+    assert!(
+        pairs <= KC / 2 && b.len() >= GQ * PANEL_I16 && a.len() >= (MR - 1) * astride + 2 * pairs,
+        "integer tile operands out of bounds"
+    );
+    match variant {
+        IntVariant::Scalar => mac_tile_scalar(a, astride, b, pairs, acc),
+        // SAFETY: the assert above bounds every read the kernels make (rows
+        // `< MR` of `2 * pairs` elements, `GQ` panels of `2 * NR * pairs`);
+        // the tier's ISA was checked when it was chosen
+        // (`IntVariant::detect` / `available`).
+        #[cfg(target_arch = "x86_64")]
+        IntVariant::Avx2 => unsafe {
+            x86::mac_tile_avx2(a.as_ptr(), astride, b.as_ptr(), pairs, acc)
+        },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        IntVariant::Avx512Vnni => unsafe {
+            x86::mac_tile_vnni(a.as_ptr(), astride, b.as_ptr(), pairs, acc)
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => mac_tile_scalar(a, astride, b, pairs, acc),
+    }
+}
+
+/// The portable integer reference: every lane's sum in plain `i32`
+/// arithmetic (which the module-level bound keeps from overflowing).
+fn mac_tile_scalar(a: &[i16], astride: usize, b: &[i16], pairs: usize, acc: &mut IntTile) {
+    for (r, accr) in acc.iter_mut().enumerate() {
+        let arow = &a[r * astride..][..2 * pairs];
+        for (q, accq) in accr.iter_mut().enumerate() {
+            let panel = &b[q * PANEL_I16..][..2 * NR * pairs];
+            for (ap, bp) in arow.chunks_exact(2).zip(panel.chunks_exact(2 * NR)) {
+                for (l, s) in accq.iter_mut().enumerate() {
+                    *s += i32::from(ap[0]) * i32::from(bp[2 * l])
+                        + i32::from(ap[1]) * i32::from(bp[2 * l + 1]);
+                }
+            }
+        }
+    }
+}
+
+/// Dequantizes a tile into the stripe rows it covers (`factors.len()` of
+/// them, row pitch `gw`): `o = o + f32(acc) * factor`, the multiply and
+/// the add each rounded, so every tier that inlines this body produces
+/// the same bits.
+#[inline(always)]
+fn flush_tile_body(acc: &IntTile, stripe: &mut [f32], gw: usize, factors: &[f32]) {
+    for ((accr, &f), srow) in acc.iter().zip(factors).zip(stripe.chunks_mut(gw)) {
+        for (accq, chunk) in accr.iter().zip(srow.chunks_mut(NR)) {
+            for (o, &s) in chunk.iter_mut().zip(accq) {
+                *o += s as f32 * f;
+            }
+        }
+    }
+}
+
+/// [`flush_tile_body`] compiled for the tier's vector width.
+fn flush_tile(variant: IntVariant, acc: &IntTile, stripe: &mut [f32], gw: usize, factors: &[f32]) {
+    match variant {
+        // SAFETY: the tier's ISA was checked when it was chosen.
+        #[cfg(target_arch = "x86_64")]
+        IntVariant::Avx2 => unsafe { x86::flush_tile_avx2(acc, stripe, gw, factors) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        IntVariant::Avx512Vnni => unsafe { x86::flush_tile_avx512(acc, stripe, gw, factors) },
+        _ => flush_tile_body(acc, stripe, gw, factors),
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{AStride, MR, NR};
+    use super::{AStride, IntTile, GQ, MR, NR, PANEL_I16};
     use std::arch::x86_64::*;
+
+    /// # Safety
+    ///
+    /// Caller verified `avx2`; `a` is valid for `i16` reads at
+    /// `r * astride + j` for `r < MR`, `j < 2 * pairs`, and `b` at
+    /// `q * PANEL_I16 + j` for `q < GQ`, `j < 2 * NR * pairs`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn mac_tile_avx2(
+        a: *const i16,
+        astride: usize,
+        b: *const i16,
+        pairs: usize,
+        acc: &mut IntTile,
+    ) {
+        // One panel at a time: 4 rows x 2 vectors of accumulators plus the
+        // two panel vectors fit the 16 ymm registers.
+        for q in 0..GQ {
+            let mut c = [[_mm256_setzero_si256(); 2]; MR];
+            let mut ap = a;
+            let mut bp = b.add(q * PANEL_I16);
+            for _ in 0..pairs {
+                let b0 = _mm256_loadu_si256(bp.cast());
+                let b1 = _mm256_loadu_si256(bp.add(NR).cast());
+                for (r, cr) in c.iter_mut().enumerate() {
+                    let av = _mm256_set1_epi32(ap.add(r * astride).cast::<i32>().read_unaligned());
+                    cr[0] = _mm256_add_epi32(cr[0], _mm256_madd_epi16(av, b0));
+                    cr[1] = _mm256_add_epi32(cr[1], _mm256_madd_epi16(av, b1));
+                }
+                ap = ap.add(2);
+                bp = bp.add(2 * NR);
+            }
+            for (accr, cr) in acc.iter_mut().zip(&c) {
+                _mm256_storeu_si256(accr[q].as_mut_ptr().cast(), cr[0]);
+                _mm256_storeu_si256(accr[q].as_mut_ptr().add(8).cast(), cr[1]);
+            }
+        }
+    }
+
+    /// The full 4-row x 4-panel tile in sixteen `zmm` accumulators: per
+    /// depth pair, four panel loads, four pair broadcasts and sixteen
+    /// `vpdpwssd` (512 MACs).
+    ///
+    /// # Safety
+    ///
+    /// Caller verified `avx512f` and `avx512vnni`; pointer contracts as in
+    /// [`mac_tile_avx2`].
+    #[target_feature(enable = "avx512f", enable = "avx512vnni")]
+    pub unsafe fn mac_tile_vnni(
+        a: *const i16,
+        astride: usize,
+        b: *const i16,
+        pairs: usize,
+        acc: &mut IntTile,
+    ) {
+        let mut c = [[_mm512_setzero_si512(); GQ]; MR];
+        let mut ap = a;
+        let mut bp = b;
+        for _ in 0..pairs {
+            let bv = [
+                _mm512_loadu_si512(bp.cast()),
+                _mm512_loadu_si512(bp.add(PANEL_I16).cast()),
+                _mm512_loadu_si512(bp.add(2 * PANEL_I16).cast()),
+                _mm512_loadu_si512(bp.add(3 * PANEL_I16).cast()),
+            ];
+            for (r, cr) in c.iter_mut().enumerate() {
+                let av = _mm512_set1_epi32(ap.add(r * astride).cast::<i32>().read_unaligned());
+                for (crq, &bq) in cr.iter_mut().zip(&bv) {
+                    *crq = _mm512_dpwssd_epi32(*crq, av, bq);
+                }
+            }
+            ap = ap.add(2);
+            bp = bp.add(2 * NR);
+        }
+        for (accr, cr) in acc.iter_mut().zip(&c) {
+            for (accq, crq) in accr.iter_mut().zip(cr) {
+                _mm512_storeu_si512(accq.as_mut_ptr().cast(), *crq);
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// Caller verified `avx2`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn flush_tile_avx2(acc: &IntTile, stripe: &mut [f32], gw: usize, factors: &[f32]) {
+        super::flush_tile_body(acc, stripe, gw, factors);
+    }
+
+    /// # Safety
+    ///
+    /// Caller verified `avx512f`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn flush_tile_avx512(acc: &IntTile, stripe: &mut [f32], gw: usize, factors: &[f32]) {
+        super::flush_tile_body(acc, stripe, gw, factors);
+    }
 
     /// # Safety
     ///

@@ -159,8 +159,13 @@ fn matmul_encoded_dims(a: &Tensor, b: &EncodedMatrix) -> Result<usize, EncodedEr
 /// (m x n)` where `B` stays resident as nibble streams and is decoded
 /// panel-by-panel inside the GEMM loop.
 ///
-/// Bit-identical to `matmul(a, &b.decode()?)` — and therefore to
-/// [`matmul_reference`] over the decoded matrix.
+/// Below [`gemm::MR`] rows (a GEMV, every `/v1/infer` call) the result is
+/// bit-identical to `matmul(a, &b.decode()?)` — and therefore to
+/// [`matmul_reference`] over the decoded matrix. At `m >= MR` it may take
+/// the integer-domain path (see [`crate::gemm`]): within a relative L2
+/// error of `1e-3` per row of [`gemm::gemm_encoded_with`], the `f32` path
+/// that stays bit-identical at every `m`. A non-finite `A` always takes
+/// the `f32` path.
 ///
 /// # Errors
 ///
@@ -179,9 +184,10 @@ pub fn matmul_encoded(a: &Tensor, b: &EncodedMatrix) -> Result<Tensor, EncodedEr
 /// The blocked transpose already happened at encode time (the panels hold
 /// the logical `k x n` operand), so this *is* the same fused walk as
 /// [`matmul_encoded`] — the distinct name documents intent at call sites
-/// that mirror a dense `matmul_nt`. Bit-identical to
-/// `matmul_nt(a, &source)` when the source round-trips losslessly, and to
-/// `matmul(a, &b.decode()?)` always.
+/// that mirror a dense `matmul_nt`. Below [`gemm::MR`] rows it is
+/// bit-identical to `matmul_nt(a, &source)` when the source round-trips
+/// losslessly, and to `matmul(a, &b.decode()?)` always; at `m >= MR` the
+/// bounded error of [`matmul_encoded`] applies.
 ///
 /// # Errors
 ///
@@ -192,7 +198,9 @@ pub fn matmul_nt_encoded(a: &Tensor, b: &EncodedMatrix) -> Result<Tensor, Encode
 }
 
 /// [`matmul_bias`] over a SPARK-encoded `B` — bias fused into the output
-/// epilogue of the decode-fused GEMM.
+/// epilogue of the decode-fused GEMM. Bit-identical to `matmul_bias(a,
+/// &b.decode()?, bias)` below [`gemm::MR`] rows, within the bounded error
+/// of [`matmul_encoded`] at `m >= MR`.
 ///
 /// # Errors
 ///
@@ -215,7 +223,9 @@ pub fn matmul_bias_encoded(
 }
 
 /// [`matmul_bias_relu`] over a SPARK-encoded `B` — bias and ReLU fused
-/// into the output epilogue of the decode-fused GEMM.
+/// into the output epilogue of the decode-fused GEMM. Bit-identical to
+/// `matmul_bias_relu(a, &b.decode()?, bias)` below [`gemm::MR`] rows,
+/// within the bounded error of [`matmul_encoded`] at `m >= MR`.
 ///
 /// # Errors
 ///
@@ -520,17 +530,43 @@ mod tests {
         assert_eq!(scale(&a, 3.0).as_slice(), &[3.0, -6.0]);
     }
 
+    /// The `f32` oracle of the encoded ops (see [`gemm::gemm_encoded_with`]).
+    fn oracle(a: &Tensor, em: &EncodedMatrix) -> Vec<f32> {
+        let m = a.dims()[0];
+        gemm::gemm_encoded_with(
+            gemm::GemmVariant::detect(),
+            a.as_slice(),
+            em,
+            m,
+            Epilogue::None,
+        )
+        .unwrap()
+    }
+
+    /// Relative L2 distance of `got` from `want`.
+    fn rel_l2(got: &[f32], want: &[f32]) -> f64 {
+        let err: f64 = got
+            .iter()
+            .zip(want)
+            .map(|(&g, &w)| (f64::from(g) - f64::from(w)).powi(2))
+            .sum();
+        let norm: f64 = want.iter().map(|&w| f64::from(w).powi(2)).sum();
+        (err / norm).sqrt()
+    }
+
     #[test]
     fn matmul_encoded_matches_decode_then_matmul() {
         let a = Tensor::from_fn(&[5, 24], |i| ((i * 7) % 13) as f32 - 6.0);
         let b = Tensor::from_fn(&[24, 18], |i| ((i * 11) % 17) as f32 / 8.5 - 1.0);
         let em = EncodedMatrix::encode(&b).unwrap();
         let want = matmul(&a, &em.decode().unwrap()).unwrap();
-        let got = matmul_encoded(&a, &em).unwrap();
-        assert_eq!(got.dims(), &[5, 18]);
-        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+        for (g, w) in oracle(&a, &em).iter().zip(want.as_slice()) {
             assert_eq!(g.to_bits(), w.to_bits());
         }
+        // m = 5 >= MR: the auto path is within the integer path's bound.
+        let got = matmul_encoded(&a, &em).unwrap();
+        assert_eq!(got.dims(), &[5, 18]);
+        assert!(rel_l2(got.as_slice(), want.as_slice()) <= 1e-3);
         // Dimension mismatch is typed.
         assert!(matmul_encoded(&Tensor::zeros(&[2, 3]), &em).is_err());
     }
@@ -541,11 +577,12 @@ mod tests {
         let bt = Tensor::from_fn(&[9, 10], |i| ((i * 3) % 7) as f32 / 3.5 - 1.0);
         let em = EncodedMatrix::encode_transposed(&bt).unwrap();
         let want = matmul(&a, &em.decode().unwrap()).unwrap();
-        let got = matmul_nt_encoded(&a, &em).unwrap();
-        assert_eq!(got.dims(), &[4, 9]);
-        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+        for (g, w) in oracle(&a, &em).iter().zip(want.as_slice()) {
             assert_eq!(g.to_bits(), w.to_bits());
         }
+        let got = matmul_nt_encoded(&a, &em).unwrap();
+        assert_eq!(got.dims(), &[4, 9]);
+        assert!(rel_l2(got.as_slice(), want.as_slice()) <= 1e-3);
     }
 
     #[test]

@@ -18,9 +18,6 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> cargo test -q --offline (full suite, SPARK_SLOW_TESTS=1)"
 SPARK_SLOW_TESTS=1 cargo test -q --workspace --offline
 
-echo "==> bulk-vs-FSM decode differential suite (every dispatch variant)"
-cargo test -q --offline -p spark-codec --test bulk_differential
-
 echo "==> codec decode bench -> BENCH_codec.json"
 # Full timing windows: speedup_bulk_over_fsm is a gate (the bit-parallel
 # bulk engine must hold >=3x over the scalar FSM reference under the
@@ -61,16 +58,17 @@ grep -Eq '"gflops": *[0-9]' BENCH_gemm.json || {
     exit 1
 }
 
-echo "==> cross-engine differential suite (fused vs decode-then vs reference)"
-cargo test -q --offline -p spark-tensor --test fused_properties
-
 echo "==> decode-fused GEMM bench -> BENCH_fused.json"
 # Full timing windows: fused_over_decode_then and weight_bytes_ratio are
 # gates (fused must keep >=0.8x of decode-then-GEMM throughput while the
 # resident weights shrink >=1.8x, i.e. ratio <= 0.55), and so is
 # fused_b1_over_dense_b1 (a batch-1 fused GEMV must run at >=0.9x of the
 # dense GEMV over the same 768x3072 weight; it reads ~2x on a 2-vCPU
-# host, and the dense GEMV alone swings ~2x run to run).
+# host, and the dense GEMV alone swings ~2x run to run). At 64x512x512
+# the fused call takes the integer-domain path: fused_over_dense_gemm
+# must stay >=1.0 (three runs on a 2-vCPU host read 1.36-1.60) and
+# int_rel_l2, its worst per-row relative L2 error against the f32
+# oracle, <=1e-3.
 SPARK_BENCH_JSON="$PWD/BENCH_fused.json" \
     cargo bench --offline -p spark-bench --bench fused
 grep -Eq '"fused_gflops": *[0-9]' BENCH_fused.json || {
@@ -93,6 +91,18 @@ awk '/"fused_b1_over_dense_b1"/ {
     gsub(/[",]/, ""); if ($2 + 0 < 0.9) { exit 1 } else { found = 1 }
 } END { exit found ? 0 : 1 }' BENCH_fused.json || {
     echo "BENCH_fused.json: batch-1 fused GEMV is not >=0.9x of the dense GEMV" >&2
+    exit 1
+}
+awk '/"fused_over_dense_gemm"/ {
+    gsub(/[",]/, ""); if ($2 + 0 < 1.0) { exit 1 } else { found = 1 }
+} END { exit found ? 0 : 1 }' BENCH_fused.json || {
+    echo "BENCH_fused.json: batch-64 fused GEMM is not >=1x the dense GEMM" >&2
+    exit 1
+}
+awk '/"int_rel_l2"/ {
+    gsub(/[",]/, ""); if ($2 + 0 > 0.001) { exit 1 } else { found = 1 }
+} END { exit found ? 0 : 1 }' BENCH_fused.json || {
+    echo "BENCH_fused.json: integer-domain GEMM is more than 1e-3 from the f32 oracle" >&2
     exit 1
 }
 
