@@ -11,10 +11,13 @@
 //!   decode-then-dense-GEMM with the decode *inside* the timed loop (the
 //!   honest comparison for weights that live encoded). Must stay ≥ 0.8×.
 //! - `fused_b1_over_dense_b1` — a batch-1 GEMV over a BERT-base FFN
-//!   weight (`1 x 768 · 768 x 3072`), dense time over fused time. At
-//!   batch 1 every weight is decoded for one row of MACs, so this is the
-//!   decoder keeping pace with the MAC loop. Must stay ≥ 0.9: reading
-//!   fewer weight bytes, fused must not lose to dense at batch 1.
+//!   weight (`1 x 768 · 768 x 3072`), dense time over fused time, each
+//!   side its best batch mean (`best_ns`): a stall on a shared host
+//!   inflates a window's mean, not its best batch. At batch 1 every
+//!   weight is decoded for one row of MACs, so this is the decoder
+//!   keeping pace with the MAC loop. Must stay ≥ 0.9: reading fewer
+//!   weight bytes, fused must not lose to dense at batch 1. The ratio of
+//!   means is kept beside it, ungated, as `fused_b1_over_dense_b1_mean`.
 //! - `fused_over_dense_gemm` — dense GEMM time over fused time at
 //!   64x512x512, where `ops::matmul_encoded` takes the integer-domain
 //!   path; gated with a floor in `scripts/ci.sh`.
@@ -157,7 +160,8 @@ fn main() {
     let r_dense_b1 = bench(&format!("fused/dense_gemv/1x{b1k}x{b1n}"), || {
         black_box(ops::matmul(&a1, &reconstructed1).expect("dims"));
     });
-    let fused_b1_over_dense_b1 = r_dense_b1.mean_ns / r_fused_b1.mean_ns;
+    let fused_b1_over_dense_b1 = r_dense_b1.best_ns / r_fused_b1.best_ns;
+    let fused_b1_over_dense_b1_mean = r_dense_b1.mean_ns / r_fused_b1.mean_ns;
 
     let fused_gflops = gflops(m, k, n, r_fused.mean_ns);
     let fused_over_decode_then = r_decode_then.mean_ns / r_fused.mean_ns;
@@ -170,7 +174,8 @@ fn main() {
     println!("fused/over_dense_gemm           {fused_over_dense:>11.2}x");
     println!("fused/int_rel_l2                {int_rel_l2:>11.2e}");
     println!("fused/panel_decode_overhead     {:>10.1}%", decode_overhead * 100.0);
-    println!("fused/b1_over_dense_b1          {fused_b1_over_dense_b1:>11.2}x");
+    println!("fused/b1_over_dense_b1          {fused_b1_over_dense_b1:>11.2}x (best)");
+    println!("fused/b1_over_dense_b1_mean     {fused_b1_over_dense_b1_mean:>11.2}x");
 
     if let Some(path) = std::env::var_os("SPARK_BENCH_JSON") {
         let doc = Value::object([
@@ -193,7 +198,13 @@ fn main() {
             ("b1_shape", Value::Str(format!("1x{b1k}x{b1n}"))),
             ("fused_b1_mean_ns", Value::Num(r_fused_b1.mean_ns)),
             ("dense_b1_mean_ns", Value::Num(r_dense_b1.mean_ns)),
+            ("fused_b1_best_ns", Value::Num(r_fused_b1.best_ns)),
+            ("dense_b1_best_ns", Value::Num(r_dense_b1.best_ns)),
             ("fused_b1_over_dense_b1", Value::Num(fused_b1_over_dense_b1)),
+            (
+                "fused_b1_over_dense_b1_mean",
+                Value::Num(fused_b1_over_dense_b1_mean),
+            ),
         ]);
         std::fs::write(&path, doc.to_string_pretty() + "\n").expect("write SPARK_BENCH_JSON");
         println!("wrote {}", path.to_string_lossy());

@@ -2,10 +2,12 @@
 //! plus an end-to-end HTTP measurement against a live loopback server.
 //!
 //! The headline number is `speedup_batched_over_unbatched`: how much
-//! faster `encode_batch` (the table-driven single-pass plan the server's
-//! micro-batcher calls) processes a set of request payloads than calling
-//! `encode_tensor` once per payload, exactly as an unbatched server
-//! would. The server section reports real requests/sec, client-side
+//! faster `encode_batch` (the call the server's micro-batcher makes)
+//! processes a set of request payloads than calling `encode_tensor` once
+//! per payload, exactly as an unbatched server would. Both sides are
+//! compared by their best batch mean (`best_ns`), which a stall on a
+//! shared host does not inflate; the ratio of means is kept beside it,
+//! ungated. The server section reports real requests/sec, client-side
 //! p50/p99 latency and the mean batch size over concurrent loopback
 //! connections. The lone-client section times back-to-back requests from
 //! one sequential client, the case where the micro-batcher finds no
@@ -50,6 +52,7 @@ struct EncodeNumbers {
     unbatched_rps: f64,
     batched_rps: f64,
     speedup: f64,
+    speedup_mean: f64,
 }
 
 fn bench_encode_paths() -> EncodeNumbers {
@@ -76,9 +79,18 @@ fn bench_encode_paths() -> EncodeNumbers {
     });
     let unbatched_rps = requests as f64 / (unbatched.mean_ns * 1e-9);
     let batched_rps = requests as f64 / (batched.mean_ns * 1e-9);
-    let speedup = batched_rps / unbatched_rps;
-    println!("serve/speedup_batched_over_unbatched          {speedup:>10.2}x");
-    EncodeNumbers { requests, values_per_request, unbatched_rps, batched_rps, speedup }
+    let speedup = unbatched.best_ns / batched.best_ns;
+    let speedup_mean = batched_rps / unbatched_rps;
+    println!("serve/speedup_batched_over_unbatched          {speedup:>10.2}x (best)");
+    println!("serve/speedup_batched_over_unbatched_mean     {speedup_mean:>10.2}x");
+    EncodeNumbers {
+        requests,
+        values_per_request,
+        unbatched_rps,
+        batched_rps,
+        speedup,
+        speedup_mean,
+    }
 }
 
 struct ServerNumbers {
@@ -187,6 +199,10 @@ fn write_bench_json(encode: &EncodeNumbers, server: &ServerNumbers, lone_encode_
         ("unbatched_encode_rps", Value::Num(encode.unbatched_rps)),
         ("batched_encode_rps", Value::Num(encode.batched_rps)),
         ("speedup_batched_over_unbatched", Value::Num(encode.speedup)),
+        (
+            "speedup_batched_over_unbatched_mean",
+            Value::Num(encode.speedup_mean),
+        ),
         (
             "server",
             Value::object([

@@ -17,7 +17,7 @@
 //!    which the analysis also reports.
 
 
-use crate::code::{decode_value, encode_value, CodeKind};
+use crate::code::encode_value;
 
 /// Full analysis of a code-word stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,26 +73,32 @@ fn entropy(counts: &[u64], total: u64) -> f64 {
 }
 
 /// Analyses a stream of INT8 code words under the paper's 8/4 format.
+///
+/// The code bits, errors and reconstruction histogram fold over the
+/// 256-bin source histogram; every error term is an integer, so this
+/// equals a per-value fold to the bit.
 pub fn analyze(values: &[u8]) -> CodeAnalysis {
     let mut source_hist = [0u64; 256];
+    for &v in values {
+        source_hist[v as usize] += 1;
+    }
     let mut recon_hist = [0u64; 256];
     let mut error_histogram = vec![0u64; 17];
     let mut bits = 0u64;
     let mut err_sum = 0i64;
-    let mut err_sq = 0f64;
-    for &v in values {
-        source_hist[v as usize] += 1;
-        let code = encode_value(v);
-        bits += match code.kind() {
-            CodeKind::Short => 4,
-            CodeKind::Long => 8,
-        };
-        let r = decode_value(v);
-        recon_hist[r as usize] += 1;
-        let e = i64::from(r) - i64::from(v);
-        err_sum += e;
-        err_sq += (e * e) as f64;
-        error_histogram[e.unsigned_abs() as usize] += 1;
+    let mut err_sq = 0u64;
+    for (v, &count) in source_hist.iter().enumerate() {
+        if count == 0 {
+            continue;
+        }
+        let code = encode_value(v as u8);
+        bits += u64::from(code.bits()) * count;
+        let r = code.decode();
+        recon_hist[r as usize] += count;
+        let e = i64::from(r) - v as i64;
+        err_sum += e * count as i64;
+        err_sq += e.unsigned_abs().pow(2) * count;
+        error_histogram[e.unsigned_abs() as usize] += count;
     }
     let n = values.len();
     let total = n as u64;
@@ -105,7 +111,7 @@ pub fn analyze(values: &[u8]) -> CodeAnalysis {
         rms_error: if n == 0 {
             0.0
         } else {
-            (err_sq / n as f64).sqrt()
+            (err_sq as f64 / n as f64).sqrt()
         },
         error_histogram,
     }
@@ -178,6 +184,80 @@ mod tests {
         assert_eq!(a.source_entropy, 0.0);
         assert_eq!(a.spark_bits, 4.0);
         assert_eq!(a.mean_error, 0.0);
+    }
+
+    /// The per-value fold `analyze` replaces: encode and decode every
+    /// value, accumulating each error term as it comes.
+    fn per_value_reference(values: &[u8]) -> CodeAnalysis {
+        use crate::code::{decode_value, CodeKind};
+        let mut source_hist = [0u64; 256];
+        let mut recon_hist = [0u64; 256];
+        let mut error_histogram = vec![0u64; 17];
+        let mut bits = 0u64;
+        let mut err_sum = 0i64;
+        let mut err_sq = 0f64;
+        for &v in values {
+            source_hist[v as usize] += 1;
+            bits += match encode_value(v).kind() {
+                CodeKind::Short => 4,
+                CodeKind::Long => 8,
+            };
+            let r = decode_value(v);
+            recon_hist[r as usize] += 1;
+            let e = i64::from(r) - i64::from(v);
+            err_sum += e;
+            err_sq += (e * e) as f64;
+            error_histogram[e.unsigned_abs() as usize] += 1;
+        }
+        let n = values.len();
+        CodeAnalysis {
+            count: n,
+            spark_bits: if n == 0 { 8.0 } else { bits as f64 / n as f64 },
+            source_entropy: entropy(&source_hist, n as u64),
+            reconstructed_entropy: entropy(&recon_hist, n as u64),
+            mean_error: if n == 0 {
+                0.0
+            } else {
+                err_sum as f64 / n as f64
+            },
+            rms_error: if n == 0 {
+                0.0
+            } else {
+                (err_sq / n as f64).sqrt()
+            },
+            error_histogram,
+        }
+    }
+
+    #[test]
+    fn histogram_fold_equals_the_per_value_fold() {
+        let mut rng = spark_util::Rng::seed_from_u64(0xA11A);
+        let mut inputs: Vec<Vec<u8>> = vec![
+            vec![],
+            vec![18; 1000],
+            vec![170; 3],
+            vec![0; 7],
+            (0u16..=255).map(|v| v as u8).collect(),
+            peaked_codes(5000),
+        ];
+        for len in [1usize, 17, 4096, 50_000] {
+            inputs.push((0..len).map(|_| rng.gen_below(256) as u8).collect());
+        }
+        for values in &inputs {
+            let (got, want) = (analyze(values), per_value_reference(values));
+            assert_eq!(got, want, "{} values", values.len());
+            // PartialEq on f64 treats 0.0 == -0.0; the fold must match
+            // to the bit.
+            for (a, b) in [
+                (got.spark_bits, want.spark_bits),
+                (got.source_entropy, want.source_entropy),
+                (got.reconstructed_entropy, want.reconstructed_entropy),
+                (got.mean_error, want.mean_error),
+                (got.rms_error, want.rms_error),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits(), "{} values", values.len());
+            }
+        }
     }
 
     #[test]

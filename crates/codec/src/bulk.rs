@@ -23,8 +23,9 @@
 //!    0x90) | post` — which is pure bitwise arithmetic and therefore
 //!    computed for eight positions per `u64` SWAR step. A branchless
 //!    compaction then gathers emitted lanes; the in-module tests pin the
-//!    SWAR formula against the FSM's own
-//!    [`decode_pair`](crate::decoder) over all 256 `(prev, post)` pairs.
+//!    SWAR formula against the code rule itself,
+//!    [`SparkFormat::PAPER`](crate::SparkFormat::PAPER)`.decode`, over all
+//!    256 `(prev, post)` pairs.
 //!
 //! The identifier-mask extraction and nibble unpacking have `Scalar`,
 //! `AVX2`, and `AVX-512` kernels behind the same runtime-dispatch enum
@@ -583,7 +584,7 @@ fn decode_payload_scalar_from(
             // Candidate values for every position, computed branch-free
             // eight lanes at a time. `prevs` aligns each nibble with its
             // predecessor so the long-code formula (Eq 3, see
-            // `decode_pair`) vectorizes: the `b1 b2` payload bits shift
+            // `SparkFormat::decode`) vectorizes: the `b1 b2` payload bits shift
             // into bits 6..5 and the `c3` check bit contributes `0x90`.
             let mut prevs = [0u8; BLOCK_NIBBLES];
             prevs[0] = last_nib;
@@ -732,16 +733,22 @@ mod tests {
     }
 
     #[test]
-    fn swar_pair_formula_matches_decode_pair() {
+    fn swar_pair_formula_matches_the_paper_format() {
         // The SWAR lane formula in `decode_payload_into` must be
-        // bit-identical to the FSM's `decode_pair` for every (prev, post)
-        // nibble combination — equivalence of Eq 3's two spellings.
+        // bit-identical to `SparkFormat::PAPER.decode` for every
+        // (prev, post) nibble combination — equivalence of Eq 3's two
+        // spellings.
+        use crate::general::{GeneralCode, SparkFormat};
         for prev in 0u8..16 {
             for post in 0u8..16 {
                 let swar = ((prev & 0x06) << 4) | ((prev & 0x01) * 0x90) | post;
+                let code = GeneralCode::Long {
+                    prev: prev.into(),
+                    post: post.into(),
+                };
                 assert_eq!(
-                    swar,
-                    crate::decoder::decode_pair(prev, post),
+                    u16::from(swar),
+                    SparkFormat::PAPER.decode(code),
                     "prev={prev:#x} post={post:#x}"
                 );
             }

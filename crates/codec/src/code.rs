@@ -3,8 +3,13 @@
 //! Bit convention: following the paper, `b0` is the *most* significant bit of
 //! the original 8-bit value and `b7` the least. Code bits `c0…c7` follow the
 //! same convention; for short codes only `c4…c7` exist.
+//!
+//! The code rule itself lives in [`SparkFormat`]; this module is its `u8`
+//! narrowing for the paper's [`SparkFormat::PAPER`] instance.
 
 use std::fmt;
+
+use crate::general::{GeneralCode, SparkFormat};
 
 /// Largest possible absolute error the SPARK code introduces for any byte
 /// (the paper: "no more than error of 16").
@@ -22,7 +27,7 @@ pub enum CodeKind {
 impl CodeKind {
     /// The code kind a raw value maps to.
     pub fn of(value: u8) -> Self {
-        if value < 8 {
+        if u16::from(value) < SparkFormat::PAPER.short_range() {
             CodeKind::Short
         } else {
             CodeKind::Long
@@ -86,12 +91,11 @@ impl SparkCode {
         encode_value(value)
     }
 
-    /// Decodes the code word back to its (possibly rounded) byte value.
+    /// Decodes the code word back to its (possibly rounded) byte value
+    /// (Eq 3): [`SparkFormat::PAPER`]'s decode, narrowed to `u8`.
+    #[inline]
     pub fn decode(self) -> u8 {
-        match self {
-            SparkCode::Short(nibble) => nibble & 0x07,
-            SparkCode::Long { prev, post } => decode_long(prev, post),
-        }
+        SparkFormat::PAPER.decode(self.into()) as u8
     }
 
     /// Short or long.
@@ -139,49 +143,24 @@ pub(crate) fn bit(value: u8, i: u8) -> u8 {
     (value >> (7 - i)) & 1
 }
 
-/// Encodes one byte into its SPARK code (compensated rounding, Eqs 4–5).
+/// Encodes one byte into its SPARK code (compensated rounding, Eqs 4–5):
+/// [`SparkFormat::PAPER`]'s encode, narrowed to `u8` nibbles.
 ///
 /// ```
 /// use spark_codec::{encode_value, SparkCode};
 /// assert_eq!(encode_value(5), SparkCode::Short(0b0101));
 /// assert_eq!(encode_value(170), SparkCode::Long { prev: 0b1011, post: 0b0000 });
 /// ```
+#[inline]
 pub fn encode_value(value: u8) -> SparkCode {
-    if value < 8 {
-        // LZD(b0..b4) == 0: first five bits all zero -> low-precision code.
-        return SparkCode::Short(value & 0x0F);
-    }
-    let b0 = bit(value, 0);
-    let b1 = bit(value, 1);
-    let b2 = bit(value, 2);
-    let b3 = bit(value, 3);
-    // Eq 4: prev = 1 b1 b2 b0.
-    let prev = 0b1000 | (b1 << 2) | (b2 << 1) | b0;
-    // Eq 5: check-bit rounding.
-    let post = if b0 ^ b3 == 0 {
-        value & 0x0F
-    } else if b3 == 1 {
-        0b1111
-    } else {
-        0b0000
-    };
-    SparkCode::Long { prev, post }
-}
-
-/// Decodes a long code's two nibbles (Eq 3 semantics).
-fn decode_long(prev: u8, post: u8) -> u8 {
-    let c1 = (prev >> 2) & 1; // b1
-    let c2 = (prev >> 1) & 1; // b2
-    let c3 = prev & 1; // b0 of the original value
-    let high = (c1 << 6) | (c2 << 5);
-    if c3 == 0 {
-        // value < 128: identifier is not a numeric bit; 7-bit value
-        // c1 c2 c3 c4..c7 with c3 = 0.
-        high | (post & 0x0F)
-    } else {
-        // value >= 128: identifier joins the numeric bits; 8-bit value
-        // 1 b1 b2 1 post.
-        0x80 | high | 0x10 | (post & 0x0F)
+    // Every 8/4 code part is at most four bits wide, so the casts are
+    // lossless.
+    match SparkFormat::PAPER.encode(u16::from(value)) {
+        GeneralCode::Short(nibble) => SparkCode::Short(nibble as u8),
+        GeneralCode::Long { prev, post } => SparkCode::Long {
+            prev: prev as u8,
+            post: post as u8,
+        },
     }
 }
 

@@ -10,7 +10,7 @@
 //! without finetuning" the paper claims.
 
 
-use crate::code::{bit, encode_value, SparkCode};
+use crate::code::{encode_value, SparkCode};
 
 /// How a raw byte is turned into a SPARK code word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -47,16 +47,12 @@ impl EncodeMode {
 /// disagree the reconstructed value is off by exactly 16 (the weight of the
 /// dropped/ghosted `b3` bit).
 fn encode_truncated(value: u8) -> SparkCode {
-    if value < 8 {
-        return SparkCode::Short(value & 0x0F);
-    }
-    let b0 = bit(value, 0);
-    let b1 = bit(value, 1);
-    let b2 = bit(value, 2);
-    let prev = 0b1000 | (b1 << 2) | (b2 << 1) | b0;
-    SparkCode::Long {
-        prev,
-        post: value & 0x0F,
+    match encode_value(value) {
+        SparkCode::Long { prev, .. } => SparkCode::Long {
+            prev,
+            post: value & 0x0F,
+        },
+        short => short,
     }
 }
 
@@ -101,6 +97,7 @@ pub fn mean_abs_error(values: &[u8], mode: EncodeMode) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code::bit;
 
     #[test]
     fn truncated_error_is_exactly_16_when_lossy() {

@@ -7,14 +7,17 @@
 //! bytes are the exact DRAM image.
 //!
 //! This is the serialization **trust boundary**: everything in the header
-//! is attacker-controlled until proven otherwise, so [`read_container`]
-//! cross-checks every field before trusting it — count consistency
+//! is attacker-controlled until proven otherwise, so every field is
+//! cross-checked before it is trusted — count consistency
 //! (`elements <= nibbles <= 2 * elements`, each value being one or two
-//! beats), payload length (growing the buffer with the data actually read,
-//! never allocating from a declared length), an FNV-1a checksum over the
-//! code stream, trailing-byte rejection, and finally a full decode. Any
-//! corruption yields a typed [`ContainerError`], never a panic, hang, or
-//! silently wrong tensor.
+//! beats), payload length, an FNV-1a checksum over the code stream,
+//! trailing-byte rejection, the padding nibble, and an exact-count length
+//! scan of the stream. The rules are written once: [`validate`] applies
+//! them to an image in memory (the encoded-weight panels), and
+//! [`read_container`] to a reader, growing its buffer with the data
+//! actually read, never allocating from a declared length. Any corruption
+//! yields a typed [`ContainerError`], never a panic, hang, or silently
+//! wrong tensor.
 
 use std::io::{self, Read, Write};
 
@@ -116,6 +119,109 @@ pub fn write_container<W: Write>(tensor: &EncodedTensor, mut out: W) -> Result<u
     Ok(header.len() + payload.len())
 }
 
+/// A container header that passed every check the header alone allows:
+/// magic, version and count plausibility.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Number of encoded values.
+    pub elements: usize,
+    /// Number of 4-bit beats in the payload.
+    pub nibbles: usize,
+    checksum: u64,
+}
+
+impl Header {
+    /// Parses the first [`HEADER_LEN`] bytes. Input that ends inside a
+    /// field fails with [`ContainerError::Io`] at that field, as a reader
+    /// hitting end-of-file there does.
+    fn parse(bytes: &[u8]) -> Result<Self, ContainerError> {
+        let field = |at: usize, len: usize| {
+            bytes
+                .get(at..at + len)
+                .ok_or_else(|| ContainerError::Io(io::ErrorKind::UnexpectedEof.into()))
+        };
+        let word = |at: usize| -> Result<u64, ContainerError> {
+            Ok(u64::from_le_bytes(
+                field(at, 8)?.try_into().expect("8-byte field"),
+            ))
+        };
+        let magic: [u8; 4] = field(0, 4)?.try_into().expect("4-byte field");
+        if magic != MAGIC {
+            return Err(ContainerError::BadMagic(magic));
+        }
+        let version = u32::from_le_bytes(field(4, 4)?.try_into().expect("4-byte field"));
+        if version != VERSION {
+            return Err(ContainerError::BadVersion(version));
+        }
+        let (elements, nibbles, checksum) = (word(8)?, word(16)?, word(24)?);
+        // Every value is one or two beats, so a header violating
+        // `elements <= nibbles <= 2 * elements` cannot describe any stream.
+        if nibbles < elements || nibbles > elements.saturating_mul(2) {
+            return Err(ContainerError::Corrupt(format!(
+                "header says {elements} elements in {nibbles} nibbles, \
+                 but every value takes one or two nibbles"
+            )));
+        }
+        Ok(Self {
+            elements: elements as usize,
+            nibbles: nibbles as usize,
+            checksum,
+        })
+    }
+
+    /// Checks the bytes after the header and returns the payload: length,
+    /// checksum, no trailing bytes, zero padding nibble, then the length
+    /// scan, which a checksum cannot replace (a forged header can carry a
+    /// matching checksum over a stream of another count).
+    fn check(self, rest: &[u8]) -> Result<&[u8], ContainerError> {
+        let expected = self.nibbles.div_ceil(2);
+        let Some(payload) = rest.get(..expected) else {
+            return Err(ContainerError::Corrupt(format!(
+                "payload truncated: header promises {expected} stream bytes, file holds {}",
+                rest.len()
+            )));
+        };
+        let found = stream_checksum(payload);
+        if found != self.checksum {
+            return Err(ContainerError::ChecksumMismatch {
+                expected: self.checksum,
+                found,
+            });
+        }
+        if rest.len() > expected {
+            return Err(ContainerError::Corrupt(
+                "trailing bytes after the declared payload".into(),
+            ));
+        }
+        if self.nibbles % 2 == 1 && payload[self.nibbles / 2] & 0x0F != 0 {
+            return Err(ContainerError::Corrupt(
+                "final padding nibble is not zero".into(),
+            ));
+        }
+        let variant = crate::bulk::DecodeVariant::detect();
+        let resolved = crate::bulk::resolve_len_with(variant, payload, self.nibbles)?;
+        if resolved != self.elements {
+            return Err(ContainerError::Corrupt(format!(
+                "header says {} elements, stream holds {resolved}",
+                self.elements
+            )));
+        }
+        Ok(payload)
+    }
+}
+
+/// Validates a container image held in memory and returns its header and
+/// payload — the container's trust rules, written once, which
+/// [`read_container`] applies too.
+///
+/// # Errors
+///
+/// The [`ContainerError`] [`read_container`] returns for the same bytes.
+pub fn validate(container: &[u8]) -> Result<(Header, &[u8]), ContainerError> {
+    let header = Header::parse(container)?;
+    Ok((header, header.check(&container[HEADER_LEN..])?))
+}
+
 /// Reads an encoded tensor back from a reader, re-deriving the statistics
 /// by decoding the stream.
 ///
@@ -125,80 +231,29 @@ pub fn write_container<W: Write>(tensor: &EncodedTensor, mut out: W) -> Result<u
 /// inconsistent or implausible counts, checksum mismatch, trailing bytes,
 /// or a malformed nibble stream.
 pub fn read_container<R: Read>(mut input: R) -> Result<EncodedTensor, ContainerError> {
-    let mut magic = [0u8; 4];
-    input.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        return Err(ContainerError::BadMagic(magic));
-    }
-    let mut buf4 = [0u8; 4];
-    input.read_exact(&mut buf4)?;
-    let version = u32::from_le_bytes(buf4);
-    if version != VERSION {
-        return Err(ContainerError::BadVersion(version));
-    }
-    let mut buf8 = [0u8; 8];
-    input.read_exact(&mut buf8)?;
-    let elements = u64::from_le_bytes(buf8);
-    input.read_exact(&mut buf8)?;
-    let nibbles = u64::from_le_bytes(buf8);
-    input.read_exact(&mut buf8)?;
-    let checksum = u64::from_le_bytes(buf8);
-
-    // Count plausibility before anything is allocated from the header:
-    // every value is one or two beats, so a header violating
-    // `elements <= nibbles <= 2 * elements` cannot describe any stream.
-    if nibbles < elements || nibbles > elements.saturating_mul(2) {
-        return Err(ContainerError::Corrupt(format!(
-            "header says {elements} elements in {nibbles} nibbles, \
-             but every value takes one or two nibbles"
-        )));
-    }
-    let elements = elements as usize;
-    let nibbles = nibbles as usize;
-
-    // Bounded payload read: `take` caps what we consume and the buffer
-    // grows with the bytes actually present, so a forged length field can
-    // never force a huge up-front allocation.
-    let expected_bytes = nibbles.div_ceil(2);
-    let mut bytes = Vec::new();
-    input.by_ref().take(expected_bytes as u64).read_to_end(&mut bytes)?;
-    if bytes.len() != expected_bytes {
-        return Err(ContainerError::Corrupt(format!(
-            "payload truncated: header promises {expected_bytes} stream bytes, file holds {}",
-            bytes.len()
-        )));
-    }
-    let found = stream_checksum(&bytes);
-    if found != checksum {
-        return Err(ContainerError::ChecksumMismatch { expected: checksum, found });
-    }
-    let mut trailer = [0u8; 1];
-    if input.read(&mut trailer)? != 0 {
-        return Err(ContainerError::Corrupt(
-            "trailing bytes after the declared payload".into(),
-        ));
-    }
-
-    if nibbles % 2 == 1 && bytes[nibbles / 2] & 0x0F != 0 {
-        return Err(ContainerError::Corrupt(
-            "final padding nibble is not zero".into(),
-        ));
-    }
+    let mut bytes = Vec::with_capacity(HEADER_LEN);
+    input
+        .by_ref()
+        .take(HEADER_LEN as u64)
+        .read_to_end(&mut bytes)?;
+    let header = Header::parse(&bytes)?;
+    let Header {
+        elements, nibbles, ..
+    } = header;
+    // Bounded payload read: `take` stops one byte past the declared
+    // payload (enough to see trailing bytes) and the buffer grows with the
+    // bytes actually present, never with a forged length field.
+    bytes.clear();
+    input
+        .take(nibbles.div_ceil(2) as u64 + 1)
+        .read_to_end(&mut bytes)?;
+    header.check(&bytes)?;
     // The validated payload is adopted wholesale — no per-nibble re-push.
     let stream = NibbleStream::from_parts(bytes, nibbles).ok_or_else(|| {
         ContainerError::Corrupt("payload shape disagrees with the nibble count".into())
     })?;
-    // Boundary-resolution pass: the exact value count comes out of the
-    // identifier bits alone, so the header's element count is verified
-    // *before* the output allocation it then sizes.
-    let variant = crate::bulk::DecodeVariant::detect();
-    let resolved = crate::bulk::resolve_len_with(variant, stream.as_bytes(), stream.len())?;
-    if resolved != elements {
-        return Err(ContainerError::Corrupt(format!(
-            "header says {elements} elements, stream holds {resolved}"
-        )));
-    }
     let mut decoded = Vec::with_capacity(elements);
+    let variant = crate::bulk::DecodeVariant::detect();
     crate::bulk::decode_payload_into(variant, stream.as_bytes(), stream.len(), &mut decoded);
     let mut hist = [0u64; 256];
     for &v in &decoded {
@@ -395,6 +450,34 @@ mod tests {
         match read_container(buf.as_slice()) {
             Err(ContainerError::Corrupt(msg)) => assert!(msg.contains("padding"), "{msg}"),
             other => panic!("expected padding rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validate_and_read_container_agree_on_every_cut_and_bit_flip() {
+        let mut buf = Vec::new();
+        write_container(&sample(), &mut buf).unwrap();
+        let (header, payload) = validate(&buf).unwrap();
+        let back = read_container(buf.as_slice()).unwrap();
+        assert_eq!((header.elements, header.nibbles), (back.elements, back.stream.len()));
+        assert_eq!(payload, back.stream.as_bytes());
+        let mut mutants: Vec<Vec<u8>> = (0..buf.len()).map(|cut| buf[..cut].to_vec()).collect();
+        for bit in 0..buf.len() * 8 {
+            let mut m = buf.clone();
+            m[bit / 8] ^= 1 << (bit % 8);
+            mutants.push(m);
+        }
+        let mut trailing = buf.clone();
+        trailing.push(0);
+        mutants.push(trailing);
+        for m in &mutants {
+            let (a, b) = (validate(m).unwrap_err(), read_container(m.as_slice()).unwrap_err());
+            assert_eq!(
+                std::mem::discriminant(&a),
+                std::mem::discriminant(&b),
+                "{} bytes: validate says {a:?}, read_container says {b:?}",
+                m.len()
+            );
         }
     }
 

@@ -4,10 +4,14 @@
 //! signal that remembers whether the previous beat was the first half of a
 //! long code. It is built from multiplexers, OR and NOT gates only; this
 //! module reproduces that finite-state machine faithfully, including the
-//! cycle accounting the simulator uses.
+//! cycle accounting the simulator uses, once for every beat-aligned
+//! [`SparkFormat`].
 
 use std::error::Error;
 use std::fmt;
+
+use crate::general::{GeneralCode, SparkFormat};
+use crate::general_stream::is_aligned;
 
 /// Error returned when a nibble stream is malformed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,7 +22,7 @@ pub enum DecodeError {
     /// A nibble outside `0..=15` was pushed (caller bug).
     InvalidNibble(u8),
     /// A beat wider than the format's beat width was pushed into a
-    /// [`crate::GeneralDecoder`] (caller bug or corrupted unpacking).
+    /// [`SparkDecoder`] (caller bug or corrupted unpacking).
     InvalidBeat {
         /// The offending beat value.
         beat: u16,
@@ -43,17 +47,14 @@ impl fmt::Display for DecodeError {
 
 impl Error for DecodeError {}
 
-/// One decoded output beat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pending {
-    /// prev nibble of a long code, waiting for post.
-    LongPrev(u8),
-}
-
-/// The streaming SPARK decoder of Fig 7.
+/// The streaming SPARK decoder of Fig 7, for any beat-aligned
+/// [`SparkFormat`].
 ///
-/// Push nibbles with [`SparkDecoder::push_nibble`]; each push models one
-/// decoder cycle. Completed values come back as `Some(value)`.
+/// Each push models one decoder cycle; completed values come back as
+/// `Some(value)`. [`SparkDecoder::new`] is the paper's 8/4 instance, fed
+/// with [`SparkDecoder::push_nibble`]; [`SparkDecoder::with_format`] runs
+/// the same machine at any aligned width, fed with
+/// [`SparkDecoder::push_beat`].
 ///
 /// ```
 /// use spark_codec::SparkDecoder;
@@ -66,56 +67,106 @@ enum Pending {
 /// assert_eq!(dec.push_nibble(0b0010)?, Some(210));
 /// # Ok::<(), spark_codec::DecodeError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparkDecoder {
-    pending: Option<Pending>,
+    format: SparkFormat,
+    /// The prev beat of a long code, waiting for its post beat.
+    pending: Option<u16>,
     cycles: u64,
     values_out: u64,
 }
 
+impl Default for SparkDecoder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl SparkDecoder {
-    /// Creates a decoder with the enable signal cleared.
+    /// Creates an 8/4 ([`SparkFormat::PAPER`]) decoder with the enable
+    /// signal cleared.
+    #[inline]
     pub fn new() -> Self {
-        Self::default()
+        Self::with_format(SparkFormat::PAPER)
     }
 
-    /// The enable signal: set while the decoder waits for the post nibble of
+    /// Creates a decoder for a beat-aligned format (`base_bits == 2 *
+    /// short_bits`), with the enable signal cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the format is not two-beat aligned (use the value-level
+    /// API for those).
+    #[inline]
+    pub fn with_format(format: SparkFormat) -> Self {
+        assert!(is_aligned(&format), "format {format} is not beat-aligned");
+        Self {
+            format,
+            pending: None,
+            cycles: 0,
+            values_out: 0,
+        }
+    }
+
+    /// The enable signal: set while the decoder waits for the post beat of
     /// a long code.
     pub fn enable(&self) -> bool {
         self.pending.is_some()
     }
 
     /// Consumes one 4-bit beat; returns a completed value when one finishes
-    /// this cycle.
+    /// this cycle. The `u8` narrowing of [`Self::push_beat`] for the 8/4
+    /// decoder of [`Self::new`].
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError::InvalidNibble`] if `nibble > 15`.
+    /// Returns [`DecodeError::InvalidNibble`] if `nibble > 15`, if it does
+    /// not fit a narrower format's beat width, or if it would close a long
+    /// code wider than 8 bits (one opened through [`Self::push_beat`] on a
+    /// wider format). A rejected nibble leaves the decoder untouched.
+    #[inline]
     pub fn push_nibble(&mut self, nibble: u8) -> Result<Option<u8>, DecodeError> {
-        if nibble > 0x0F {
+        if nibble > 0x0F || (self.pending.is_some() && self.format.base_bits() > 8) {
             return Err(DecodeError::InvalidNibble(nibble));
         }
-        self.cycles += 1;
-        match self.pending.take() {
-            Some(Pending::LongPrev(prev)) => {
-                // EN = 1: this beat is the post part of a high-precision value.
-                let value = decode_pair(prev, nibble);
-                self.values_out += 1;
-                Ok(Some(value))
-            }
-            None => {
-                let c0 = (nibble >> 3) & 1; // identifier bit of this beat
-                if c0 == 0 {
-                    // Low-precision value: output directly.
-                    self.values_out += 1;
-                    Ok(Some(nibble & 0x07))
-                } else {
-                    // High-precision: remember prev, set enable.
-                    self.pending = Some(Pending::LongPrev(nibble));
-                    Ok(None)
-                }
-            }
+        match self.push_beat(u16::from(nibble)) {
+            // A short code here is the nibble itself, and a long code one
+            // of at most 8 bits, so the narrowing is lossless.
+            Ok(value) => Ok(value.map(|v| v as u8)),
+            Err(DecodeError::InvalidBeat { .. }) => Err(DecodeError::InvalidNibble(nibble)),
+            Err(e) => Err(e),
         }
+    }
+
+    /// Consumes one beat; returns a completed value when one finishes this
+    /// cycle.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::InvalidBeat`] when `beat` does not fit the
+    /// format's beat width, so corrupted unpacking surfaces as a typed
+    /// error instead of silently aliasing a valid beat. A rejected beat
+    /// leaves the decoder untouched.
+    #[inline]
+    pub fn push_beat(&mut self, beat: u16) -> Result<Option<u16>, DecodeError> {
+        let h = self.format.short_bits();
+        if beat >> h != 0 {
+            return Err(DecodeError::InvalidBeat { beat, width: h });
+        }
+        self.cycles += 1;
+        let code = match self.pending.take() {
+            // EN = 1: this beat is the post part of a high-precision value.
+            Some(prev) => GeneralCode::Long { prev, post: beat },
+            // Low-precision value (identifier clear): output directly.
+            None if beat >> (h - 1) == 0 => GeneralCode::Short(beat),
+            // High-precision: remember prev, set enable.
+            None => {
+                self.pending = Some(beat);
+                return Ok(None);
+            }
+        };
+        self.values_out += 1;
+        Ok(Some(self.format.decode(code)))
     }
 
     /// Declares the stream finished.
@@ -132,8 +183,8 @@ impl SparkDecoder {
         }
     }
 
-    /// Cycles consumed so far (one per pushed nibble — the decoder reads one
-    /// 4-bit beat per cycle).
+    /// Cycles consumed so far (one per accepted beat — the decoder reads
+    /// one beat per cycle).
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
@@ -143,25 +194,9 @@ impl SparkDecoder {
         self.values_out
     }
 
-    /// Clears all state and counters.
+    /// Clears all state and counters, keeping the format.
     pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
-
-/// Combines a long code's two nibbles into the decoded byte (Eq 3).
-///
-/// `prev` is the identifier nibble `1 b1 b2 c3`; `c3` selects whether the
-/// identifier participates in the value. `const` so the bulk decoder
-/// ([`crate::bulk`]) can bake all 256 `(prev, post)` combinations into a
-/// compile-time table that is bit-identical to this FSM by construction.
-pub(crate) const fn decode_pair(prev: u8, post: u8) -> u8 {
-    let c3 = prev & 1;
-    let high = ((prev >> 2) & 1) << 6 | ((prev >> 1) & 1) << 5;
-    if c3 == 0 {
-        high | (post & 0x0F)
-    } else {
-        0x80 | high | 0x10 | (post & 0x0F)
+        *self = Self::with_format(self.format);
     }
 }
 

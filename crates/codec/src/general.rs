@@ -1,4 +1,4 @@
-//! Generalized SPARK: the encoding family for arbitrary base widths.
+//! The SPARK code rule, defined once for every `(base, short)` width.
 //!
 //! The paper presents SPARK for INT8 with 4-bit short codes, and stresses
 //! scalability ("for a model quantized to 8-bit, the basic bit length
@@ -6,13 +6,14 @@
 //! `(base_bits, short_bits)` pair: a value whose top `base - short + 1`
 //! bits are zero takes the short code; everything else takes a full-width
 //! code whose last prev-bit carries `b0`, with the check-bit rounding rule
-//! generalized verbatim. The specialized 8/4 codec in [`crate::code`] is
-//! the `SparkFormat::paper()` instance of this family — a unit test pins
-//! them to each other bit for bit.
+//! generalized verbatim. This module is the crate's only statement of
+//! that rule: [`crate::encode_value`], [`crate::SparkCode::decode`] and
+//! the Fig 7 FSM narrow its [`SparkFormat::PAPER`] instance to `u8`, and
+//! the gate-level Fig 10 encoder stays the independent oracle for it.
 //!
 //! Useful instances:
 //!
-//! - `SparkFormat::new(8, 4)` — the paper (error ≤ 16 of 255);
+//! - [`SparkFormat::PAPER`] (`SPARK-8/4`) — the paper (error ≤ 16 of 255);
 //! - `SparkFormat::new(16, 8)` — INT16 models (error ≤ 256 of 65535);
 //! - `SparkFormat::new(6, 3)` — aggressive 6-bit quantization.
 
@@ -70,12 +71,10 @@ impl SparkFormat {
     }
 
     /// The paper's 8/4 format.
-    pub fn paper() -> Self {
-        Self {
-            base_bits: 8,
-            short_bits: 4,
-        }
-    }
+    pub const PAPER: Self = Self {
+        base_bits: 8,
+        short_bits: 4,
+    };
 
     /// Total width of a long code (= the quantization width).
     pub fn base_bits(&self) -> u8 {
@@ -117,6 +116,7 @@ impl SparkFormat {
     ///
     /// Panics when `value` exceeds [`SparkFormat::max_value`] (the
     /// quantizer guarantees the range; exceeding it is a caller bug).
+    #[inline]
     pub fn encode(&self, value: u16) -> GeneralCode {
         assert!(
             value <= self.max_value(),
@@ -148,6 +148,7 @@ impl SparkFormat {
     }
 
     /// Decodes one code word.
+    #[inline]
     pub fn decode(&self, code: GeneralCode) -> u16 {
         match code {
             GeneralCode::Short(v) => v,
@@ -205,15 +206,15 @@ impl fmt::Display for SparkFormat {
     }
 }
 
-/// Converts the specialized 8-bit code into the general representation
-/// (for the cross-validation tests).
+/// Widens an 8/4 code word into the general representation, keeping only
+/// the bits a 4-bit beat holds (a short code's identifier is always 0).
 impl From<SparkCode> for GeneralCode {
     fn from(code: SparkCode) -> Self {
         match code {
             SparkCode::Short(n) => GeneralCode::Short(u16::from(n & 0x07)),
             SparkCode::Long { prev, post } => GeneralCode::Long {
-                prev: u16::from(prev),
-                post: u16::from(post),
+                prev: u16::from(prev & 0x0F),
+                post: u16::from(post & 0x0F),
             },
         }
     }
@@ -222,7 +223,6 @@ impl From<SparkCode> for GeneralCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::code::encode_value;
 
     #[test]
     fn format_validation() {
@@ -232,21 +232,6 @@ mod tests {
         assert!(SparkFormat::new(4, 4).is_err()); // short == base
         assert!(SparkFormat::new(17, 8).is_err()); // too wide
         assert!(SparkFormat::new(8, 2).is_err()); // short too narrow
-    }
-
-    #[test]
-    fn paper_instance_matches_specialized_codec_exactly() {
-        let fmt = SparkFormat::paper();
-        for v in 0u16..=255 {
-            let general = fmt.encode(v);
-            let specialized: GeneralCode = encode_value(v as u8).into();
-            assert_eq!(general, specialized, "encode({v})");
-            assert_eq!(
-                fmt.decode(general),
-                u16::from(crate::decode_value(v as u8)),
-                "decode({v})"
-            );
-        }
     }
 
     #[test]
@@ -332,7 +317,8 @@ mod tests {
 
     #[test]
     fn display_names() {
-        assert_eq!(SparkFormat::paper().to_string(), "SPARK-8/4");
+        assert_eq!(SparkFormat::PAPER.to_string(), "SPARK-8/4");
+        assert_eq!(SparkFormat::new(8, 4).unwrap(), SparkFormat::PAPER);
         assert_eq!(SparkFormat::new(16, 8).unwrap().to_string(), "SPARK-16/8");
     }
 

@@ -1,15 +1,15 @@
-//! Beat-aligned streaming for the generalized SPARK family.
+//! Beat-aligned streaming for any [`SparkFormat`].
 //!
 //! The paper's memory-alignment property — every code is one or two
 //! fixed-width beats — holds exactly for the formats with
-//! `base_bits == 2 * short_bits` (8/4, 12/6, 16/8, 6/3). For those,
-//! this module provides the packed [`BeatStream`] (the general analogue of
-//! [`crate::NibbleStream`]) and the enable-signal [`GeneralDecoder`]
-//! (the analogue of [`crate::SparkDecoder`]). A cross-check test pins the
-//! 8/4 instance to the specialized nibble machinery bit for bit.
+//! `base_bits == 2 * short_bits` (8/4, 12/6, 16/8, 6/3). For those, this
+//! module packs code words into a [`BeatStream`] of any beat width and
+//! decodes one through the same Fig 7 FSM the nibble path uses
+//! ([`SparkDecoder::with_format`]). The paper's packed 8/4 storage is the
+//! byte-oriented [`crate::NibbleStream`]; a test pins the two packings of
+//! [`SparkFormat::PAPER`] to each other beat for beat.
 
-
-use crate::decoder::DecodeError;
+use crate::decoder::{DecodeError, SparkDecoder};
 use crate::general::{GeneralCode, SparkFormat};
 
 /// Whether a format streams with two-beat alignment.
@@ -105,76 +105,6 @@ impl BeatStream {
     }
 }
 
-/// Streaming decoder for an aligned format: one beat per cycle plus the
-/// enable signal, exactly the Fig 7 FSM at generalized width.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GeneralDecoder {
-    format: SparkFormat,
-    pending: Option<u16>,
-}
-
-impl GeneralDecoder {
-    /// Creates a decoder for an aligned format.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the format is not two-beat aligned (use the value-level
-    /// API for those).
-    pub fn new(format: SparkFormat) -> Self {
-        assert!(is_aligned(&format), "format {format} is not beat-aligned");
-        Self {
-            format,
-            pending: None,
-        }
-    }
-
-    /// The enable signal.
-    pub fn enable(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    /// Consumes one beat; returns a completed value when one finishes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::InvalidBeat`] when `beat` does not fit the
-    /// format's beat width — the beat-level analogue of
-    /// [`DecodeError::InvalidNibble`], so corrupted unpacking surfaces as a
-    /// typed error instead of silently aliasing a valid beat.
-    pub fn push_beat(&mut self, beat: u16) -> Result<Option<u16>, DecodeError> {
-        let h = self.format.short_bits();
-        if h < 16 && beat >> h != 0 {
-            return Err(DecodeError::InvalidBeat { beat, width: h });
-        }
-        Ok(match self.pending.take() {
-            Some(prev) => Some(self.format.decode(GeneralCode::Long { prev, post: beat })),
-            None => {
-                let identifier = (beat >> (h - 1)) & 1;
-                if identifier == 0 {
-                    Some(self.format.decode(GeneralCode::Short(beat)))
-                } else {
-                    self.pending = Some(beat);
-                    None
-                }
-            }
-        })
-    }
-
-    /// Declares the stream finished.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::TruncatedLongCode`] when a long code is
-    /// half-read.
-    pub fn finish(&self) -> Result<(), DecodeError> {
-        if self.enable() {
-            Err(DecodeError::TruncatedLongCode)
-        } else {
-            Ok(())
-        }
-    }
-}
-
 /// Encodes values into a packed beat stream under an aligned format.
 ///
 /// # Panics
@@ -202,7 +132,7 @@ pub fn encode_general(format: &SparkFormat, values: &[u16]) -> BeatStream {
 /// Returns [`DecodeError::TruncatedLongCode`] for half-read long codes and
 /// [`DecodeError::InvalidBeat`] for beats outside the format's width.
 pub fn decode_general(format: &SparkFormat, stream: &BeatStream) -> Result<Vec<u16>, DecodeError> {
-    let mut dec = GeneralDecoder::new(*format);
+    let mut dec = SparkDecoder::with_format(*format);
     let mut out = Vec::new();
     for beat in stream.iter() {
         if let Some(v) = dec.push_beat(beat)? {
@@ -263,7 +193,7 @@ mod tests {
 
     #[test]
     fn general_8_4_matches_specialized_nibble_stream() {
-        let fmt = SparkFormat::paper();
+        let fmt = SparkFormat::PAPER;
         let values: Vec<u8> = (0u16..=255).map(|v| v as u8).collect();
         let values16: Vec<u16> = values.iter().map(|&v| u16::from(v)).collect();
         let general = encode_general(&fmt, &values16);

@@ -23,21 +23,24 @@
 //!
 //! ## Modules
 //!
-//! - [`code`] — per-value encoding/decoding and the [`SparkCode`] type;
-//! - [`encoder`] — the gate-level encoder of Fig 10 ([`SparkEncoder`]);
-//! - [`decoder`] — the streaming enable-signal decoder of Fig 5/7
-//!   ([`SparkDecoder`]);
-//! - [`bulk`] — the bit-parallel block decoder (boundary-resolution
-//!   prefix scan + table decode, runtime SIMD dispatch) that
-//!   [`decode_stream`] runs on, with the FSM kept as reference;
-//! - [`stream`] — nibble-aligned packing of whole tensors;
+//! Each rule of the format is written once:
+//!
+//! - [`general`] — the code rule, [`SparkFormat`], for any `(base, short)`
+//!   width; the paper's 8/4 code is its [`SparkFormat::PAPER`] instance;
+//! - [`code`] — that instance narrowed to `u8`: [`encode_value`],
+//!   [`SparkCode`];
+//! - [`decoder`] — the Fig 5/7 enable-signal FSM ([`SparkDecoder`]) for
+//!   every beat-aligned format, the reference oracle for bulk decode;
+//! - [`encoder`] — the gate-level encoder of Fig 10 ([`SparkEncoder`]), an
+//!   independent oracle for the code rule;
+//! - [`bulk`] — the bit-parallel block decoder [`decode_stream`] runs on;
+//! - [`stream`] and [`general_stream`] — nibble- and beat-aligned packing;
+//!   tensors encode through one table per mode ([`EncodePlan`]);
+//! - [`container`] — the on-disk container and its one validator;
 //! - [`compensation`] — the accuracy compensation mechanism toggle and
 //!   tensor-level bias correction;
-//! - [`stats`] — code statistics (short/lossless fractions, average
-//!   bit-width) backing Fig 2 and Fig 4;
-//! - [`table`] — the Table II value table as queryable data;
-//! - [`general`] — the generalized `(base, short)` format family
-//!   ([`SparkFormat`]), of which the paper's 8/4 scheme is one instance.
+//! - [`stats`], [`analysis`] and [`table`] — code statistics (Fig 2, Fig 4)
+//!   and Table II as data.
 //!
 //! ## Example
 //!
@@ -73,7 +76,7 @@ pub use bulk::{decode_bulk, decode_bulk_with, decode_payload, decode_payload_wit
 pub use code::{decode_value, encode_value, CodeKind, SparkCode, MAX_ENCODING_ERROR};
 pub use codecheck::FormatError;
 pub use general::{GeneralCode, SparkFormat};
-pub use general_stream::{decode_general, encode_general, BeatStream, GeneralDecoder};
+pub use general_stream::{decode_general, encode_general, BeatStream};
 pub use compensation::{bias_correction, EncodeMode};
 pub use container::{read_container, stream_checksum, write_container, ContainerError, HEADER_LEN};
 pub use decoder::{DecodeError, SparkDecoder};

@@ -170,24 +170,10 @@ pub fn encode_tensor(values: &[u8]) -> EncodedTensor {
 }
 
 /// Encodes a slice of INT8 code words under an explicit [`EncodeMode`]
-/// (used by the Fig 13 ablation).
+/// (used by the Fig 13 ablation), through the mode's shared
+/// [`EncodePlan`].
 pub fn encode_tensor_with(values: &[u8], mode: EncodeMode) -> EncodedTensor {
-    // Statistics pre-pass: `EncodeMode::encode` is pure, so encoding twice
-    // is safe and the second pass writes into an exactly-sized stream
-    // (`nibble_count`) instead of the 2-nibbles-per-value worst case.
-    let mut stats = CodeStats::default();
-    for &v in values {
-        stats.record(v, mode.encode(v));
-    }
-    let mut stream = NibbleStream::with_capacity(stats.nibble_count() as usize);
-    for &v in values {
-        stream.extend(mode.encode(v).nibbles());
-    }
-    EncodedTensor {
-        stream,
-        elements: values.len(),
-        stats,
-    }
+    EncodePlan::cached(mode).encode(values)
 }
 
 /// One byte's precomputed encoding: the packed nibbles plus its statistics
@@ -212,13 +198,13 @@ struct PlanEntry {
     err: u8,
 }
 
-/// A reusable 256-entry encoding table for one [`EncodeMode`] — the batched
-/// entry point the serving layer amortizes across whole request batches.
+/// A reusable 256-entry encoding table for one [`EncodeMode`] — the one
+/// tensor encoder behind [`encode_tensor_with`], [`encode_batch_with`] and
+/// the encoded-weight panels.
 ///
-/// [`EncodePlan::encode`] produces output **bit-identical** to
-/// [`encode_tensor_with`] (a property the tests pin), but in a single pass
-/// with no per-value encoder invocation, which makes it several times
-/// faster per element even on one core.
+/// [`EncodePlan::encode`] produces the stream and statistics a per-value
+/// `mode.encode(v)` loop would (a property the tests pin against such a
+/// loop), but in a single pass with no per-value encoder invocation.
 pub struct EncodePlan {
     mode: EncodeMode,
     table: [PlanEntry; 256],
@@ -385,6 +371,23 @@ mod tests {
     use super::*;
     use crate::encode_value;
 
+    /// The per-value encoder the table path replaces: run the mode's
+    /// encoder on every value, record its statistics, push its nibbles.
+    fn per_value_reference(values: &[u8], mode: EncodeMode) -> EncodedTensor {
+        let mut stats = CodeStats::default();
+        let mut stream = NibbleStream::new();
+        for &v in values {
+            let code = mode.encode(v);
+            stats.record(v, code);
+            stream.extend(code.nibbles());
+        }
+        EncodedTensor {
+            stream,
+            elements: values.len(),
+            stats,
+        }
+    }
+
     #[test]
     fn push_and_get() {
         let mut s = NibbleStream::new();
@@ -471,21 +474,20 @@ mod tests {
     }
 
     #[test]
-    fn encode_presizes_stream_exactly() {
-        // The stats pre-pass must predict the packed length exactly: the
-        // stream never reallocates past its initial capacity.
+    fn encode_allocates_the_stream_once() {
+        // One allocation sized for the worst case (a long code, one byte,
+        // per value) before the table pass: the stream never grows, and its
+        // length matches the statistics exactly.
         let values: Vec<u8> = (0..513).map(|i| (i * 31 % 256) as u8).collect();
         let enc = encode_tensor(&values);
         assert_eq!(enc.stream.len() as u64, enc.stats.nibble_count());
-        assert_eq!(enc.stream.bytes.capacity(), enc.stream.byte_len());
+        assert_eq!(enc.stream.bytes.capacity(), values.len());
     }
 
     #[test]
     fn decode_presizes_output_exactly() {
-        // Mirror of `encode_presizes_stream_exactly` for the decode
-        // direction: the boundary pass predicts the value count exactly,
-        // so the output vector never reallocates past its initial
-        // capacity.
+        // The boundary pass predicts the value count exactly, so the
+        // output vector never reallocates past its initial capacity.
         let values: Vec<u8> = (0..513).map(|i| (i * 31 % 256) as u8).collect();
         let enc = encode_tensor(&values);
         let dec = decode_stream(&enc.stream).unwrap();
@@ -562,7 +564,8 @@ mod tests {
     fn plan_encode_is_bit_identical_to_encode_tensor() {
         // Exhaustive byte coverage plus every parity of short/long
         // adjacency, under both modes: the plan path must produce the
-        // exact same stream bytes, length, and statistics.
+        // exact same stream bytes, length, and statistics as the per-value
+        // reference, and `encode_tensor_with` must be that plan.
         let mut patterns: Vec<Vec<u8>> = vec![
             (0u16..=255).map(|v| v as u8).collect(),
             vec![],
@@ -585,12 +588,13 @@ mod tests {
         for mode in [EncodeMode::Compensated, EncodeMode::Truncated] {
             let plan = EncodePlan::new(mode);
             for values in &patterns {
-                let want = encode_tensor_with(values, mode);
+                let want = per_value_reference(values, mode);
                 let got = plan.encode(values);
                 assert_eq!(got.stream.as_bytes(), want.stream.as_bytes());
                 assert_eq!(got.stream.len(), want.stream.len());
                 assert_eq!(got.elements, want.elements);
                 assert_eq!(got.stats, want.stats);
+                assert_eq!(encode_tensor_with(values, mode), got);
             }
         }
     }
@@ -605,7 +609,7 @@ mod tests {
             let plan = EncodePlan::new(mode);
             for v in 0u16..=255 {
                 let values = [v as u8];
-                let want = encode_tensor_with(&values, mode);
+                let want = per_value_reference(&values, mode);
                 let got = plan.encode(&values);
                 assert_eq!(got.stream.as_bytes(), want.stream.as_bytes(), "{mode:?} {v}");
                 assert_eq!(got.stream.len(), want.stream.len(), "{mode:?} {v}");
@@ -618,7 +622,7 @@ mod tests {
             }
             // And the empty tensor: zero nibbles, zero stats, decodable.
             let empty = plan.encode(&[]);
-            assert_eq!(empty, encode_tensor_with(&[], mode));
+            assert_eq!(empty, per_value_reference(&[], mode));
             assert_eq!(empty.stream.len(), 0);
             assert_eq!(decode_stream(&empty.stream).unwrap(), Vec::<u8>::new());
         }
@@ -652,7 +656,7 @@ mod tests {
             interleaved.push(3);
         }
         for values in [&worst, &interleaved] {
-            let want = encode_tensor_with(values, EncodeMode::Compensated);
+            let want = per_value_reference(values, EncodeMode::Compensated);
             let got = plan.encode(values);
             assert_eq!(got.stream.as_bytes(), want.stream.as_bytes());
             assert_eq!(got.stats, want.stats);
@@ -679,8 +683,15 @@ mod tests {
             let mut from_plan = Vec::new();
             write_container(&plan.encode(values), &mut from_plan).unwrap();
             let mut from_encoder = Vec::new();
-            write_container(&encode_tensor(values), &mut from_encoder).unwrap();
-            assert_eq!(from_plan, from_encoder, "container images diverge for {values:?}");
+            write_container(
+                &per_value_reference(values, EncodeMode::Compensated),
+                &mut from_encoder,
+            )
+            .unwrap();
+            assert_eq!(
+                from_plan, from_encoder,
+                "container images diverge for {values:?}"
+            );
             let back = read_container(&from_plan[..]).unwrap();
             assert_eq!(back.elements, values.len());
             assert_eq!(

@@ -9,7 +9,7 @@
 
 use spark_codec::{
     decode_general, decode_stream, encode_general, encode_tensor, encode_value, BeatStream,
-    DecodeError, GeneralDecoder, NibbleStream, SparkDecoder, SparkFormat,
+    DecodeError, NibbleStream, SparkDecoder, SparkFormat,
 };
 
 /// Nibbles that open a long code (identifier bit set), one per c3 value.
@@ -55,10 +55,36 @@ fn invalid_nibble_reports_the_offending_value() {
 }
 
 #[test]
+fn wide_format_nibble_api_rejects_values_past_four_bits() {
+    for (base, short) in [(12u8, 6u8), (16, 8)] {
+        let fmt = SparkFormat::new(base, short).unwrap();
+        let mut dec = SparkDecoder::with_format(fmt);
+        for bad in [16u8, 0x1F, 255] {
+            assert_eq!(
+                dec.push_nibble(bad),
+                Err(DecodeError::InvalidNibble(bad)),
+                "{fmt}"
+            );
+        }
+        assert!(!dec.enable());
+        assert_eq!(dec.cycles(), 0);
+        // A 4-bit nibble is a short code of the wider format.
+        assert_eq!(dec.push_nibble(15), Ok(Some(15)), "{fmt}");
+        // A long code opened by a full-width beat cannot close as a u8.
+        let open = 1u16 << (short - 1);
+        assert_eq!(dec.push_beat(open), Ok(None), "{fmt}");
+        assert_eq!(dec.push_nibble(3), Err(DecodeError::InvalidNibble(3)), "{fmt}");
+        assert!(dec.enable());
+        assert!(dec.push_beat(3).unwrap().is_some());
+        assert!(dec.finish().is_ok());
+    }
+}
+
+#[test]
 fn out_of_range_beat_is_invalid_beat_with_width() {
     for (base, short) in [(6u8, 3u8), (8, 4), (12, 6), (16, 8)] {
         let fmt = SparkFormat::new(base, short).unwrap();
-        let mut dec = GeneralDecoder::new(fmt);
+        let mut dec = SparkDecoder::with_format(fmt);
         let bad = 1u16 << short; // one past the widest legal beat
         assert_eq!(
             dec.push_beat(bad),
@@ -87,7 +113,7 @@ fn mid_pair_truncation_in_general_stream_is_truncated_long_code() {
 #[test]
 fn general_decoder_dangling_prefix_at_finish() {
     let fmt = SparkFormat::new(8, 4).unwrap();
-    let mut dec = GeneralDecoder::new(fmt);
+    let mut dec = SparkDecoder::with_format(fmt);
     assert_eq!(dec.push_beat(0b1000), Ok(None)); // long prev
     assert!(dec.enable());
     assert_eq!(dec.finish(), Err(DecodeError::TruncatedLongCode));

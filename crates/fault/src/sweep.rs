@@ -273,7 +273,7 @@ pub fn sweep_codec(seed: u64, streams: usize) -> SweepReport {
                 let idx = rng.gen_range(0..beats.len());
                 beats[idx] |= 1 << short;
                 let run = || -> Result<(), DecodeError> {
-                    let mut dec = spark_codec::GeneralDecoder::new(fmt);
+                    let mut dec = spark_codec::SparkDecoder::with_format(fmt);
                     for &b in &beats {
                         dec.push_beat(b)?;
                     }

@@ -42,23 +42,23 @@
 //! bytes are validated exactly once, when the matrix is built, and
 //! trusted from then on. [`EncodedMatrix::from_raw_parts`] is the only
 //! door for untrusted bytes (store cold loads, the fault plane, tests): it
-//! checks every panel's header — magic, version, count plausibility, the
-//! element count the layout needs, payload length, FNV-1a checksum,
-//! padding nibble — plus the sign-plane length, and runs the bit-parallel
-//! length scan ([`spark_codec::bulk::resolve_len_with`]) so a forged but
-//! self-consistent header over a mismatched stream is caught too. Any
-//! violation is a typed [`EncodedError`], never a panic. The containers
+//! runs every panel through the codec's one container validator
+//! ([`spark_codec::container::validate`]: magic, version, count
+//! plausibility, payload length, FNV-1a checksum, padding nibble and the
+//! exact-count length scan, so a forged but self-consistent header over a
+//! mismatched stream is caught too), then checks the element count the
+//! layout needs and the sign-plane length. Any violation is a typed
+//! [`EncodedError`], never a panic. The containers
 //! [`EncodedMatrix::encode`] writes are valid by construction (debug
-//! builds re-check them with the same validator). The fused GEMM's
-//! [`PanelDecoder`] therefore only decodes; [`EncodedMatrix::decode`]
-//! still goes through the full [`spark_codec::read_container`] path as an
-//! independent oracle.
+//! builds re-check them with the same validator). The matrix keeps each
+//! payload's validated nibble count, so the fused GEMM's [`PanelDecoder`]
+//! only decodes, reading no header; [`EncodedMatrix::decode`] still goes
+//! through the full [`spark_codec::read_container`] path as an independent
+//! oracle.
 
 use crate::gemm::NR;
 use crate::{stats, ShapeError, Tensor};
-use spark_codec::{
-    stream_checksum, ContainerError, DecodeError, EncodePlan, EncodeMode, HEADER_LEN,
-};
+use spark_codec::{container, ContainerError, DecodeError, EncodeMode, EncodePlan, HEADER_LEN};
 
 /// Errors from encoding, decoding, or running GEMM over an
 /// [`EncodedMatrix`].
@@ -149,6 +149,8 @@ pub struct EncodedMatrix {
     panels: Vec<Vec<u8>>,
     /// Bit-packed signs per panel, same element order as the stream.
     signs: Vec<Vec<u8>>,
+    /// Nibbles in each panel's payload, from its validated header.
+    nibbles: Vec<usize>,
     /// Aggregate code statistics (empty for [`Self::from_raw_parts`]).
     stats: spark_codec::CodeStats,
     /// `(code as f32 * profile.step()).to_bits()` for every code.
@@ -252,6 +254,7 @@ impl EncodedMatrix {
         let panel_count = n.div_ceil(NR);
         let mut panels = Vec::with_capacity(panel_count);
         let mut signs = Vec::with_capacity(panel_count);
+        let mut nibbles = Vec::with_capacity(panel_count);
         let mut stats = spark_codec::CodeStats::new();
         let mut codes = Vec::new();
         for p in 0..panel_count {
@@ -278,18 +281,22 @@ impl EncodedMatrix {
                 .map_err(|e| EncodedError::Container(ContainerError::Io(e)))?;
             panels.push(bytes);
             signs.push(sign_bits);
+            nibbles.push(enc.stream.len());
         }
-        let em = Self {
+        debug_assert!(
+            validate_panels(k, n, &panels, &signs).is_ok_and(|v| v == nibbles),
+            "encode wrote an invalid panel"
+        );
+        Ok(Self {
             k,
             n,
             profile,
             panels,
             signs,
+            nibbles,
             stats,
             dequant: dequant_table(profile),
-        };
-        debug_assert!(em.validate().is_ok(), "encode wrote an invalid panel");
-        Ok(em)
+        })
     }
 
     /// Reassembles a matrix from raw parts — the zero-copy load path, and
@@ -319,35 +326,17 @@ impl EncodedMatrix {
                 signs.len(),
             ))));
         }
-        let em = Self {
+        let nibbles = validate_panels(k, n, &panels, &signs)?;
+        Ok(Self {
             k,
             n,
             profile,
             panels,
             signs,
+            nibbles,
             stats: spark_codec::CodeStats::new(),
             dequant: dequant_table(profile),
-        };
-        em.validate()?;
-        Ok(em)
-    }
-
-    /// Checks every panel's sign-plane length and container (see
-    /// [`validate_container`]) against the `k x n` layout. Requires one
-    /// container and one sign plane per panel.
-    fn validate(&self) -> Result<(), EncodedError> {
-        for (p, (container, signs)) in self.panels.iter().zip(&self.signs).enumerate() {
-            let elements = self.k * self.panel_width(p);
-            if signs.len() != elements.div_ceil(8) {
-                return Err(EncodedError::Shape(ShapeError::new(format!(
-                    "panel {p} sign plane holds {} bytes, {elements} elements need {}",
-                    signs.len(),
-                    elements.div_ceil(8),
-                ))));
-            }
-            validate_container(container, elements)?;
-        }
-        Ok(())
+        })
     }
 
     /// Depth (rows) of the logical `k x n` operand.
@@ -415,7 +404,8 @@ impl EncodedMatrix {
     /// validated when the matrix was built, so this cannot fail.
     pub(crate) fn panel_decoder(&self, p: usize) -> PanelDecoder<'_> {
         PanelDecoder::new(
-            &self.panels[p],
+            &self.panels[p][HEADER_LEN..],
+            self.nibbles[p],
             &self.signs[p],
             self.k * self.panel_width(p),
             &self.dequant,
@@ -456,78 +446,43 @@ impl EncodedMatrix {
     }
 }
 
-/// Reads one panel container's header and checks it against the layout:
-/// magic, version, count plausibility, the `expected` element count,
-/// payload length, FNV-1a checksum and padding nibble. It then runs the
-/// bit-parallel length scan, which a checksum cannot replace: a raw-parts
-/// caller can forge a consistent header (checksum included) over a stream
-/// that decodes to a different count or ends inside a long code.
-fn validate_container(container: &[u8], expected: usize) -> Result<(), EncodedError> {
-    if container.len() < HEADER_LEN {
-        return Err(ContainerError::Corrupt(format!(
-            "container holds {} bytes, the header alone is {HEADER_LEN}",
-            container.len()
-        ))
-        .into());
-    }
-    let (header, payload) = container.split_at(HEADER_LEN);
-    if header[0..4] != spark_codec::container::MAGIC {
-        let mut magic = [0u8; 4];
-        magic.copy_from_slice(&header[0..4]);
-        return Err(ContainerError::BadMagic(magic).into());
-    }
-    let version = u32::from_le_bytes(header[4..8].try_into().expect("4-byte slice"));
-    if version != spark_codec::container::VERSION {
-        return Err(ContainerError::BadVersion(version).into());
-    }
-    let elements = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
-    let nibbles = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice"));
-    let checksum = u64::from_le_bytes(header[24..32].try_into().expect("8-byte slice"));
-    if nibbles < elements || nibbles > elements.saturating_mul(2) {
-        return Err(ContainerError::Corrupt(format!(
-            "header says {elements} elements in {nibbles} nibbles, \
-             but every value takes one or two nibbles"
-        ))
-        .into());
-    }
-    let elements = elements as usize;
-    let nibbles = nibbles as usize;
-    if elements != expected {
-        return Err(ContainerError::Corrupt(format!(
-            "panel header says {elements} elements, the matrix layout needs {expected}"
-        ))
-        .into());
-    }
-    if payload.len() != nibbles.div_ceil(2) {
-        return Err(ContainerError::Corrupt(format!(
-            "panel payload holds {} bytes, header promises {}",
-            payload.len(),
-            nibbles.div_ceil(2)
-        ))
-        .into());
-    }
-    let found = stream_checksum(payload);
-    if found != checksum {
-        return Err(ContainerError::ChecksumMismatch { expected: checksum, found }.into());
-    }
-    if nibbles % 2 == 1 && payload[nibbles / 2] & 0x0F != 0 {
-        return Err(ContainerError::Corrupt("final padding nibble is not zero".into()).into());
-    }
-    let variant = spark_codec::DecodeVariant::detect();
-    let resolved = spark_codec::bulk::resolve_len_with(variant, payload, nibbles)?;
-    if resolved < elements {
-        return Err(ContainerError::Corrupt(format!(
-            "stream exhausted after {resolved} of {elements} elements"
-        ))
-        .into());
-    }
-    if resolved > elements {
-        return Err(ContainerError::Corrupt(format!(
-            "stream holds more than the promised {elements} elements"
-        ))
-        .into());
-    }
-    Ok(())
+/// Checks every panel against the `k x n` layout — its container through
+/// [`container::validate`], then the element count the layout needs and
+/// its sign-plane length — and returns each payload's nibble count.
+/// Requires one container and one sign plane per panel.
+fn validate_panels(
+    k: usize,
+    n: usize,
+    panels: &[Vec<u8>],
+    signs: &[Vec<u8>],
+) -> Result<Vec<usize>, EncodedError> {
+    panels
+        .iter()
+        .zip(signs)
+        .enumerate()
+        .map(|(p, (bytes, signs))| {
+            let elements = k * NR.min(n - p * NR);
+            if signs.len() != elements.div_ceil(8) {
+                return Err(EncodedError::Shape(ShapeError::new(format!(
+                    "panel {p} sign plane holds {} bytes, {elements} elements need {}",
+                    signs.len(),
+                    elements.div_ceil(8),
+                ))));
+            }
+            let (header, _) = container::validate(bytes).map_err(|e| match e {
+                ContainerError::Stream(e) => EncodedError::Decode(e),
+                e => EncodedError::Container(e),
+            })?;
+            if header.elements != elements {
+                return Err(ContainerError::Corrupt(format!(
+                    "panel header says {} elements, the matrix layout needs {elements}",
+                    header.elements
+                ))
+                .into());
+            }
+            Ok(header.nibbles)
+        })
+        .collect()
 }
 
 /// Decoder over one validated panel: bulk-decodes the whole code stream
@@ -546,16 +501,16 @@ pub(crate) struct PanelDecoder<'a> {
 }
 
 impl<'a> PanelDecoder<'a> {
-    /// Decodes a container that [`validate_container`] accepted for
-    /// `elements` values and positions the decoder at the first element.
+    /// Decodes a `nibbles`-beat payload that [`validate_panels`] accepted
+    /// for `elements` values and positions the decoder at the first
+    /// element.
     pub(crate) fn new(
-        container: &'a [u8],
+        payload: &[u8],
+        nibbles: usize,
         signs: &'a [u8],
         elements: usize,
         table: &'a DequantTable,
     ) -> Self {
-        let (header, payload) = container.split_at(HEADER_LEN);
-        let nibbles = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice")) as usize;
         let mut codes = Vec::with_capacity(elements);
         let variant = spark_codec::DecodeVariant::detect();
         spark_codec::bulk::decode_payload_into(variant, payload, nibbles, &mut codes);
@@ -829,11 +784,24 @@ mod tests {
         for bit in (0..HEADER_LEN * 8).chain(sampled) {
             let (mut panels, signs) = raw_parts(&em);
             panels[0][bit / 8] ^= 1 << (bit % 8);
+            // The reader path shares the validator, so the same bytes fail
+            // it with the same variant.
+            let read = spark_codec::read_container(panels[0].as_slice());
             let got = EncodedMatrix::from_raw_parts(DEEP_K, 20, em.profile(), panels, signs);
             assert!(
                 matches!(got, Err(EncodedError::Container(_))),
                 "bit {bit} flip accepted: {got:?}"
             );
+            match (&got, &read) {
+                (Err(EncodedError::Container(a)), Err(b)) => assert_eq!(
+                    std::mem::discriminant(a),
+                    std::mem::discriminant(b),
+                    "bit {bit}: from_raw_parts says {a:?}, read_container says {b:?}"
+                ),
+                _ => panic!(
+                    "bit {bit}: read_container accepted what from_raw_parts refused: {read:?}"
+                ),
+            }
         }
     }
 
@@ -841,6 +809,7 @@ mod tests {
     /// and element count, plausible nibble count, matching payload length
     /// and checksum, zero padding — over an arbitrary `payload`.
     fn forged_container(elements: usize, nibbles: usize, payload: Vec<u8>) -> Vec<u8> {
+        use spark_codec::stream_checksum;
         let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
         bytes.extend_from_slice(&spark_codec::container::MAGIC);
         bytes.extend_from_slice(&spark_codec::container::VERSION.to_le_bytes());

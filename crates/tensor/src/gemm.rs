@@ -191,28 +191,36 @@ pub enum IntVariant {
 
 impl IntVariant {
     /// The fastest SIMD tier the running CPU supports, or `None` when it
-    /// has neither (the auto path then stays on `f32`).
+    /// has neither (the auto path then stays on `f32`). Allocation-free:
+    /// every `gemm_encoded_auto` call asks.
     pub fn detect() -> Option<Self> {
-        Self::available()
+        [IntVariant::Avx512Vnni, IntVariant::Avx2]
             .into_iter()
-            .rev()
-            .find(|&v| v != IntVariant::Scalar)
+            .find(|v| v.supported())
     }
 
     /// Every tier the running CPU can execute (always includes
     /// [`IntVariant::Scalar`]), for differential tests and benchmarks.
     pub fn available() -> Vec<Self> {
-        let mut v = vec![IntVariant::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                v.push(IntVariant::Avx2);
+        [IntVariant::Scalar, IntVariant::Avx2, IntVariant::Avx512Vnni]
+            .into_iter()
+            .filter(|v| v.supported())
+            .collect()
+    }
+
+    /// Whether the running CPU can execute this tier.
+    fn supported(self) -> bool {
+        match self {
+            IntVariant::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            IntVariant::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            IntVariant::Avx512Vnni => {
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vnni")
             }
-            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vnni") {
-                v.push(IntVariant::Avx512Vnni);
-            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
         }
-        v
     }
 
     /// Short display name.
@@ -1210,7 +1218,7 @@ pub fn gemm_encoded_int_with(
     epi: Epilogue<'_>,
 ) -> Result<Vec<f32>, EncodedError> {
     assert!(
-        IntVariant::available().contains(&variant),
+        variant.supported(),
         "{} is not supported by this CPU",
         variant.name()
     );
@@ -2067,6 +2075,19 @@ mod tests {
         assert!(gemm_encoded_impl(variant, &[1.0], &em, 1, Epilogue::None, 1)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn int_variant_detect_is_the_top_available_simd_tier() {
+        let available = IntVariant::available();
+        assert_eq!(available[0], IntVariant::Scalar);
+        assert_eq!(
+            IntVariant::detect(),
+            available
+                .into_iter()
+                .rev()
+                .find(|&v| v != IntVariant::Scalar)
+        );
     }
 
     #[test]

@@ -63,8 +63,11 @@ echo "==> decode-fused GEMM bench -> BENCH_fused.json"
 # gates (fused must keep >=0.8x of decode-then-GEMM throughput while the
 # resident weights shrink >=1.8x, i.e. ratio <= 0.55), and so is
 # fused_b1_over_dense_b1 (a batch-1 fused GEMV must run at >=0.9x of the
-# dense GEMV over the same 768x3072 weight; it reads ~2x on a 2-vCPU
-# host, and the dense GEMV alone swings ~2x run to run). At 64x512x512
+# dense GEMV over the same 768x3072 weight). That ratio compares each
+# side's best batch mean (best_ns): the dense GEMV alone swings ~2x run
+# to run on a 2-vCPU host, and the ratio of means, kept ungated as
+# fused_b1_over_dense_b1_mean, once read 0.53 in one of four runs that
+# otherwise read 1.02-1.09. At 64x512x512
 # the fused call takes the integer-domain path: fused_over_dense_gemm
 # must stay >=1.0 (three runs on a 2-vCPU host read 1.36-1.60) and
 # int_rel_l2, its worst per-row relative L2 error against the f32
@@ -110,7 +113,11 @@ echo "==> serve smoke (boots an ephemeral server, hits every endpoint)"
 cargo run --release --offline -p spark-cli --bin spark -- serve --smoke
 
 echo "==> serve bench -> BENCH_serve.json"
-# Full timing windows: speedup_batched_over_unbatched is a gate.
+# Full timing windows: speedup_batched_over_unbatched is a gate. It is
+# encode_batch over encode_tensor run once per payload, each side's best
+# batch mean (best_ns), which a stall on a shared host does not inflate;
+# the ratio of means is kept ungated as
+# speedup_batched_over_unbatched_mean.
 SPARK_BENCH_JSON="$PWD/BENCH_serve.json" \
     cargo bench --offline -p spark-bench --bench serve
 grep -Eq '"batched_encode_rps": *[0-9]' BENCH_serve.json || {
