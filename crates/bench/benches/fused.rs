@@ -25,13 +25,24 @@
 //!   against the `f32` oracle (`gemm_encoded_with`) on the same operands.
 //!   Must stay ≤ 1e-3. `f32_oracle_mean_ns` times the oracle itself.
 //!
+//! The batch-1 GEMV also breaks down into its per-value stages, each run
+//! alone on one thread over the same 768x3072 weight, best batch mean per
+//! value (ungated): `b1_decode_ns_val` bulk-decodes every panel one
+//! `KC`-deep block at a time through a [`BulkCursor`] into a fixed buffer,
+//! and `b1_emit_ns_val` turns those codes into the `f32` operand panels
+//! with the detected tier's emitter. The rest of `fused_b1_best_ns` is
+//! the MAC and the fan-out.
+//!
 //! Before any timing, the `f32` oracle must equal decode-then-turbo and the
 //! scalar reference to the bit, and the auto path must be within the error
 //! bound of the oracle (bit-identical at batch 1, below `MR` rows).
 //! `SPARK_BENCH_JSON=<path>` writes the JSON document;
 //! `SPARK_BENCH_QUICK=1` shrinks iteration counts.
 
-use spark_tensor::gemm::{gemm_encoded_with, Epilogue, GemmVariant};
+use spark_codec::bulk::FILL_SLACK;
+use spark_codec::{container, BulkCursor, DecodeVariant};
+use spark_tensor::emit::{emit_f32, Dequant};
+use spark_tensor::gemm::{gemm_encoded_with, Epilogue, GemmVariant, KC, NR};
 use spark_tensor::{ops, EncodedMatrix, Tensor};
 use spark_util::bench::{bench, black_box};
 use spark_util::{Rng, Value};
@@ -58,6 +69,47 @@ fn oracle(a: &Tensor, b: &EncodedMatrix) -> Vec<f32> {
         Epilogue::None,
     )
     .expect("clean container decodes")
+}
+
+/// Each panel's nibble payload and nibble count.
+fn panel_payloads(em: &EncodedMatrix) -> Vec<(&[u8], usize)> {
+    (0..em.panels())
+        .map(|p| {
+            let (header, payload) =
+                container::validate(em.panel_container(p)).expect("clean container validates");
+            (payload, header.nibbles)
+        })
+        .collect()
+}
+
+/// Bulk-decodes every panel of `em` one `KC`-deep block at a time into a
+/// fixed buffer, the fused GEMM's decode stage alone.
+fn decode_stage(em: &EncodedMatrix, payloads: &[(&[u8], usize)], buf: &mut [u8]) {
+    let variant = DecodeVariant::detect();
+    for (p, &(payload, nibbles)) in payloads.iter().enumerate() {
+        let block = KC * em.panel_width(p);
+        let mut cursor = BulkCursor::new(variant, payload, nibbles);
+        while !cursor.is_done() {
+            black_box(cursor.fill(buf, block));
+        }
+    }
+}
+
+/// Emits every `KC`-deep block of every panel of `em` from its decoded
+/// `codes` as `f32` operand rows, the fused GEMM's emit stage alone.
+fn emit_stage(em: &EncodedMatrix, codes: &[Vec<u8>], dq: &Dequant, dst: &mut [f32]) {
+    let variant = GemmVariant::detect();
+    for (p, codes) in codes.iter().enumerate() {
+        let w = em.panel_width(p);
+        let signs = em.panel_signs(p);
+        for (blk, block) in codes.chunks(KC * w).enumerate() {
+            let rows = block.len() / w;
+            let e0 = blk * KC * w;
+            let out = &mut dst[..rows * NR];
+            emit_f32(variant, dq, block, signs, e0, rows, w, out);
+            black_box(out);
+        }
+    }
 }
 
 /// Worst per-row relative L2 error of `got` against `want` (rows of `n`).
@@ -161,6 +213,24 @@ fn main() {
         black_box(ops::matmul(&a1, &reconstructed1).expect("dims"));
     });
     let fused_b1_over_dense_b1 = r_dense_b1.best_ns / r_fused_b1.best_ns;
+    // The GEMV's stages, each alone on one thread.
+    let payloads = panel_payloads(&encoded1);
+    let mut code_buf = vec![0u8; KC * NR + FILL_SLACK];
+    let r_decode_b1 = bench(&format!("fused/stage_decode/{b1k}x{b1n}"), || {
+        decode_stage(&encoded1, &payloads, &mut code_buf);
+    });
+    let panel_codes: Vec<Vec<u8>> = payloads
+        .iter()
+        .map(|&(payload, nibbles)| spark_codec::decode_payload(payload, nibbles).expect("valid"))
+        .collect();
+    let dq = Dequant::new(encoded1.profile().step());
+    let mut operand = vec![0.0f32; KC * NR];
+    let r_emit_b1 = bench(&format!("fused/stage_emit_f32/{b1k}x{b1n}"), || {
+        emit_stage(&encoded1, &panel_codes, &dq, &mut operand);
+    });
+    let b1_values = (b1k * b1n) as f64;
+    let b1_decode_ns_val = r_decode_b1.best_ns / b1_values;
+    let b1_emit_ns_val = r_emit_b1.best_ns / b1_values;
     let fused_b1_over_dense_b1_mean = r_dense_b1.mean_ns / r_fused_b1.mean_ns;
 
     let fused_gflops = gflops(m, k, n, r_fused.mean_ns);
@@ -176,6 +246,8 @@ fn main() {
     println!("fused/panel_decode_overhead     {:>10.1}%", decode_overhead * 100.0);
     println!("fused/b1_over_dense_b1          {fused_b1_over_dense_b1:>11.2}x (best)");
     println!("fused/b1_over_dense_b1_mean     {fused_b1_over_dense_b1_mean:>11.2}x");
+    println!("fused/b1_decode_ns_val          {b1_decode_ns_val:>11.3}");
+    println!("fused/b1_emit_ns_val            {b1_emit_ns_val:>11.3}");
 
     if let Some(path) = std::env::var_os("SPARK_BENCH_JSON") {
         let doc = Value::object([
@@ -205,6 +277,8 @@ fn main() {
                 "fused_b1_over_dense_b1_mean",
                 Value::Num(fused_b1_over_dense_b1_mean),
             ),
+            ("b1_decode_ns_val", Value::Num(b1_decode_ns_val)),
+            ("b1_emit_ns_val", Value::Num(b1_emit_ns_val)),
         ]);
         std::fs::write(&path, doc.to_string_pretty() + "\n").expect("write SPARK_BENCH_JSON");
         println!("wrote {}", path.to_string_lossy());

@@ -38,6 +38,13 @@
 //! Because the boundary pass also yields the exact value count before any
 //! output is written (`values = nibbles - popcount(prev)`), bulk decode
 //! allocates its output once, exactly sized — no hot-path reallocation.
+//!
+//! Every kernel runs from a block-boundary state (`carry`, last nibble,
+//! next nibble index) and stops once it has emitted the values asked for,
+//! so a [`BulkCursor`] can resume a payload where the previous call left
+//! it: the decode-fused GEMM pulls one `KC`-deep block of a weight panel
+//! at a time into a fixed buffer instead of decoding the whole panel up
+//! front.
 
 use crate::decoder::DecodeError;
 use crate::stream::NibbleStream;
@@ -46,6 +53,20 @@ use crate::stream::NibbleStream;
 const BLOCK_NIBBLES: usize = 64;
 /// Packed bytes per full block.
 const BLOCK_BYTES: usize = BLOCK_NIBBLES / 2;
+
+/// Headroom a [`BulkCursor::fill`] output needs past the values asked
+/// for: a block emits up to 64 values, and the kernels store whole blocks.
+pub const FILL_SLACK: usize = BLOCK_NIBBLES;
+
+/// The decode state at a block boundary: whether the previous block ended
+/// on an unconsumed prev nibble (`carry`), that block's last nibble, and
+/// the index of the next nibble to decode.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockState {
+    carry: bool,
+    last_nib: u8,
+    start: usize,
+}
 
 /// SWAR lane constants: eight nibbles per `u64`, one byte each.
 /// `LOW3` keeps a short code's value bits, `BIT12` isolates the long-code
@@ -209,7 +230,7 @@ mod x86 {
     //! (enforced by constructing the [`DecodeVariant`] via `detect`/`all`).
     #![allow(unsafe_code)]
 
-    use super::{prev_mask, spread, BIT0, BIT12, BLOCK_NIBBLES, LOW3};
+    use super::{prev_mask, spread, BlockState, BIT0, BIT12, BLOCK_NIBBLES, LOW3};
     use std::arch::x86_64::*;
 
     /// AVX2 load: movemask reads the identifier bit of high nibbles
@@ -289,30 +310,42 @@ mod x86 {
         spread(hi) | (spread(lo) << 1)
     }
 
-    /// AVX2 + BMI2 emission pass over all full blocks of `payload`.
+    /// AVX2 + BMI2 emission pass over the full blocks of `payload` from
+    /// `st`, writing at `out[len..]` until `want` values sit in
+    /// `out[..len]` or less than a block remains.
     ///
     /// Boundary masks come from [`load_avx2`]; per eight-nibble lane the
     /// short and long-code candidates are computed SWAR-style, selected by
     /// the post mask (expanded to byte granularity with `pdep`), and the
-    /// emitted bytes compacted with one `pext`. Returns the FSM state
-    /// (`carry`, last nibble, next nibble index) for the tail block.
+    /// emitted bytes compacted with one `pext`. Leaves the decode state
+    /// for the next block in `st` and returns the new `len`.
+    ///
+    /// # Safety
+    ///
+    /// `avx2` and `bmi2` are present, `payload` holds `nibbles.div_ceil(2)`
+    /// bytes, and `out.len() >= want + FILL_SLACK`.
     #[target_feature(enable = "avx2,bmi2")]
-    pub unsafe fn decode_payload_avx2(
+    pub unsafe fn decode_blocks_avx2(
         payload: &[u8],
         nibbles: usize,
-        out: &mut Vec<u8>,
-    ) -> (bool, u8, usize) {
-        let mut carry = false;
-        let mut last_nib = 0u8;
-        let mut start = 0usize;
-        // Each lane store writes a full u64 at the cursor; eight spare
-        // bytes absorb the final lane's overshoot.
-        let mut scratch = [0u8; BLOCK_NIBBLES + 8];
-        while nibbles - start >= BLOCK_NIBBLES {
+        st: &mut BlockState,
+        out: &mut [u8],
+        mut len: usize,
+        want: usize,
+    ) -> usize {
+        let BlockState {
+            mut carry,
+            mut last_nib,
+            mut start,
+        } = *st;
+        while len < want && nibbles - start >= BLOCK_NIBBLES {
             let (nibs, id) = load_avx2(payload.as_ptr().add(start / 2));
             let p = prev_mask(id, carry);
             let post = (p << 1) | u64::from(carry);
             let emit = !p;
+            // Each lane store writes a full u64 at the cursor; `len < want`
+            // and the caller's FILL_SLACK leave room for the whole block.
+            let dst = out.as_mut_ptr().add(len);
             let mut k = 0usize;
             let mut prev_byte = u64::from(last_nib);
             for c in 0..BLOCK_NIBBLES / 8 {
@@ -327,33 +360,43 @@ mod x86 {
                 let vals = short_w ^ ((short_w ^ pair_w) & post_m);
                 let emit_b = (emit >> (8 * c)) & 0xFF;
                 let emit_m = _pdep_u64(emit_b, BIT0).wrapping_mul(0xFF);
-                scratch
-                    .as_mut_ptr()
-                    .add(k)
+                dst.add(k)
                     .cast::<u64>()
                     .write_unaligned(_pext_u64(vals, emit_m));
                 k += emit_b.count_ones() as usize;
             }
-            out.extend_from_slice(&scratch[..k]);
+            len += k;
             carry = p >> 63 == 1;
             last_nib = nibs[BLOCK_NIBBLES - 1];
             start += BLOCK_NIBBLES;
         }
-        (carry, last_nib, start)
+        *st = BlockState {
+            carry,
+            last_nib,
+            start,
+        };
+        len
     }
 
-    /// AVX-512 emission pass over all full blocks of `payload`: the whole
+    /// AVX-512 emission pass over the full blocks of `payload`: the whole
     /// block lives in one 64-lane register, prev alignment is a VBMI byte
     /// permute, candidate selection is a mask blend keyed directly on the
     /// post bitmask, and compaction is a single `vpcompressb` (VBMI2).
-    /// Returns the FSM state for the tail block, like
-    /// [`decode_payload_avx2`].
+    /// Same contract as [`decode_blocks_avx2`].
+    ///
+    /// # Safety
+    ///
+    /// The AVX-512 `F+BW+VL+VBMI+VBMI2` features are present; otherwise as
+    /// [`decode_blocks_avx2`].
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vbmi,avx512vbmi2")]
-    pub unsafe fn decode_payload_avx512(
+    pub unsafe fn decode_blocks_avx512(
         payload: &[u8],
         nibbles: usize,
-        out: &mut Vec<u8>,
-    ) -> (bool, u8, usize) {
+        st: &mut BlockState,
+        out: &mut [u8],
+        mut len: usize,
+        want: usize,
+    ) -> usize {
         // Byte-shift-right-by-one permute indices (lane 0 is patched with
         // the carried nibble afterwards, so its index is don't-care).
         const SHIFT_IDX: [u8; BLOCK_NIBBLES] = {
@@ -381,11 +424,12 @@ mod x86 {
         let shift_idx = _mm512_loadu_si512(SHIFT_IDX.as_ptr().cast());
         let dup_idx = _mm512_loadu_si512(DUP_IDX.as_ptr().cast());
         let low_nib = _mm512_set1_epi8(0x0F);
-        let mut carry = false;
-        let mut last_nib = 0u8;
-        let mut start = 0usize;
-        let mut scratch = [0u8; BLOCK_NIBBLES];
-        while nibbles - start >= BLOCK_NIBBLES {
+        let BlockState {
+            mut carry,
+            mut last_nib,
+            mut start,
+        } = *st;
+        while len < want && nibbles - start >= BLOCK_NIBBLES {
             let bytes = payload.as_ptr().add(start / 2);
             // Unpack in-register: duplicate every packed byte across its
             // two nibble lanes, then blend the shifted high halves with
@@ -417,15 +461,24 @@ mod x86 {
             let pair = _mm512_or_si512(_mm512_or_si512(b12, c3), nz);
             let shorts = _mm512_and_si512(nz, _mm512_set1_epi8(0x07));
             let vals = _mm512_mask_blend_epi8(post, shorts, pair);
-            let packed = _mm512_maskz_compress_epi8(emit, vals);
-            _mm512_storeu_si512(scratch.as_mut_ptr().cast(), packed);
-            out.extend_from_slice(&scratch[..emit.count_ones() as usize]);
+            // One whole-register store at the cursor: `len < want` and
+            // the caller's FILL_SLACK leave room for it.
+            _mm512_storeu_si512(
+                out.as_mut_ptr().add(len).cast(),
+                _mm512_maskz_compress_epi8(emit, vals),
+            );
+            len += emit.count_ones() as usize;
             carry = p >> 63 == 1;
             // Nibble 63 is the low half of the block's final packed byte.
             last_nib = *bytes.add(BLOCK_NIBBLES / 2 - 1) & 0x0F;
             start += BLOCK_NIBBLES;
         }
-        (carry, last_nib, start)
+        *st = BlockState {
+            carry,
+            last_nib,
+            start,
+        };
+        len
     }
 }
 
@@ -522,47 +575,130 @@ pub fn resolve_len(payload: &[u8], nibbles: usize) -> Result<usize, DecodeError>
     resolve_len_with(DecodeVariant::detect(), payload, nibbles)
 }
 
-/// Emission pass: decodes `nibbles` beats of `payload` into `out`,
-/// assuming [`resolve_len_with`] already validated the stream (so a
-/// trailing truncated long code is unrepresentable here). Appends exactly
-/// the resolved number of values. Callers that already ran the boundary
-/// pass (the container reader, the fused GEMM's panel decoder) use this to
-/// decode into a buffer they sized from the resolved count.
-pub fn decode_payload_into(
+/// A resumable emission pass over one validated payload: each
+/// [`Self::fill`] decodes whole 64-nibble blocks from where the previous
+/// call stopped. The payload must already have passed
+/// [`resolve_len_with`] (so a trailing truncated long code is
+/// unrepresentable here); the cursor holds only the block-boundary state,
+/// so any fill size and any sequence of fills decode the same values as
+/// one [`decode_payload_with`] call.
+#[derive(Debug, Clone)]
+pub struct BulkCursor<'a> {
+    variant: DecodeVariant,
+    payload: &'a [u8],
+    nibbles: usize,
+    state: BlockState,
+}
+
+impl<'a> BulkCursor<'a> {
+    /// A cursor at the first nibble of a `nibbles`-beat `payload`.
+    ///
+    /// # Panics
+    ///
+    /// When `payload` holds fewer than `nibbles.div_ceil(2)` bytes.
+    pub fn new(variant: DecodeVariant, payload: &'a [u8], nibbles: usize) -> Self {
+        assert!(
+            payload.len() >= nibbles.div_ceil(2),
+            "payload holds {} bytes, {nibbles} nibbles need {}",
+            payload.len(),
+            nibbles.div_ceil(2)
+        );
+        Self {
+            variant,
+            payload,
+            nibbles,
+            state: BlockState::default(),
+        }
+    }
+
+    /// Decodes whole blocks into `out` until at least `want` values are
+    /// written or the payload is exhausted, and returns how many were
+    /// written: at least `want` unless the payload ran out, and fewer than
+    /// `want + FILL_SLACK`. Values past `want` are the start of what the
+    /// next call would have decoded; the caller keeps them.
+    ///
+    /// # Panics
+    ///
+    /// When `out` is shorter than `want + FILL_SLACK`.
+    pub fn fill(&mut self, out: &mut [u8], want: usize) -> usize {
+        assert!(
+            out.len() >= want + FILL_SLACK,
+            "fill of {want} values needs {} bytes of output, got {}",
+            want + FILL_SLACK,
+            out.len()
+        );
+        let len = match self.variant {
+            DecodeVariant::Scalar => 0,
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the variant is only constructed when `detect`/`all`
+            // observed the required CPU features; `new` checked the payload
+            // length and the assert above the output headroom.
+            DecodeVariant::Avx2 => unsafe {
+                x86::decode_blocks_avx2(self.payload, self.nibbles, &mut self.state, out, 0, want)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            DecodeVariant::Avx512 => unsafe {
+                x86::decode_blocks_avx512(self.payload, self.nibbles, &mut self.state, out, 0, want)
+            },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => 0,
+        };
+        decode_blocks_scalar(self.payload, self.nibbles, &mut self.state, out, len, want)
+    }
+
+    /// Whether every nibble of the payload has been decoded.
+    pub fn is_done(&self) -> bool {
+        self.state.start >= self.nibbles
+    }
+}
+
+/// Emission pass: fills `out` with the `out.len()` values that `nibbles`
+/// beats of `payload` decode to. Callers run [`resolve_len_with`] first
+/// (the container reader, [`decode_payload_with`]) and size `out` from the
+/// count it resolved.
+pub(crate) fn decode_payload_to(
     variant: DecodeVariant,
     payload: &[u8],
     nibbles: usize,
-    out: &mut Vec<u8>,
+    out: &mut [u8],
 ) {
-    let (carry, last_nib, start) = match variant {
-        DecodeVariant::Scalar => (false, 0u8, 0usize),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the variant is only constructed when `detect`/`all`
-        // observed the required CPU features.
-        DecodeVariant::Avx2 => unsafe { x86::decode_payload_avx2(payload, nibbles, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        DecodeVariant::Avx512 => unsafe { x86::decode_payload_avx512(payload, nibbles, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => (false, 0u8, 0usize),
+    let values = out.len();
+    let mut cursor = BulkCursor::new(variant, payload, nibbles);
+    // Whole blocks straight into the output while a block's headroom
+    // fits, then the last (at most FILL_SLACK) values through a buffer.
+    let mut len = match values.checked_sub(FILL_SLACK) {
+        Some(want) => cursor.fill(out, want),
+        None => 0,
     };
-    decode_payload_scalar_from(payload, nibbles, carry, last_nib, start, out);
+    let mut tail = [0u8; 2 * FILL_SLACK];
+    let rest = cursor.fill(&mut tail, values - len);
+    out[len..len + rest].copy_from_slice(&tail[..rest]);
+    len += rest;
+    debug_assert!(
+        len == values && cursor.is_done(),
+        "payload was not resolved to {values} values"
+    );
 }
 
-/// Portable emission pass from a mid-stream FSM state: `carry`/`last_nib`
-/// describe the boundary at nibble `start` (block-aligned). Entry point
-/// for the whole stream under [`DecodeVariant::Scalar`] and for the
-/// final partial block left over by the SIMD kernels.
-fn decode_payload_scalar_from(
+/// Portable emission pass from a block-boundary state, with the same
+/// contract as the SIMD kernels except that it also decodes the final
+/// partial block: the whole stream under [`DecodeVariant::Scalar`], and
+/// the tail the SIMD kernels leave.
+fn decode_blocks_scalar(
     payload: &[u8],
     nibbles: usize,
-    mut carry: bool,
-    mut last_nib: u8,
-    mut start: usize,
-    out: &mut Vec<u8>,
-) {
-    let mut scratch = [0u8; BLOCK_NIBBLES];
-    while start < nibbles {
+    st: &mut BlockState,
+    out: &mut [u8],
+    mut len: usize,
+    want: usize,
+) -> usize {
+    let BlockState {
+        mut carry,
+        mut last_nib,
+        mut start,
+    } = *st;
+    while len < want && start < nibbles {
         let n = BLOCK_NIBBLES.min(nibbles - start);
         let bytes = &payload[start / 2..];
         let nb = n.div_ceil(2);
@@ -570,16 +706,19 @@ fn decode_payload_scalar_from(
         let id = id_mask_scalar(&bytes[..nb], n);
         let valid = if n == BLOCK_NIBBLES { u64::MAX } else { (1u64 << n) - 1 };
         let p = prev_mask(id, carry);
+        // `len < want` and the caller's FILL_SLACK leave a whole block of
+        // room at the cursor.
+        let dst = &mut out[len..len + BLOCK_NIBBLES];
         if p == 0 && !carry {
             // All-short fast path: every valid nibble is its own value,
             // masked to its low three bits eight at a time.
-            for (dst, src) in scratch.chunks_exact_mut(8).zip(nibs.chunks_exact(8)) {
+            for (d, src) in dst.chunks_exact_mut(8).zip(nibs.chunks_exact(8)) {
                 let w = u64::from_le_bytes([
                     src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7],
                 ]) & LOW3;
-                dst.copy_from_slice(&w.to_le_bytes());
+                d.copy_from_slice(&w.to_le_bytes());
             }
-            out.extend_from_slice(&scratch[..n]);
+            len += n;
         } else {
             // Candidate values for every position, computed branch-free
             // eight lanes at a time. `prevs` aligns each nibble with its
@@ -624,15 +763,21 @@ fn decode_payload_scalar_from(
             let mut k = 0usize;
             for i in 0..n {
                 let sel = 0u8.wrapping_sub(((post >> i) & 1) as u8);
-                scratch[k] = shorts[i] ^ ((shorts[i] ^ pairs[i]) & sel);
+                dst[k] = shorts[i] ^ ((shorts[i] ^ pairs[i]) & sel);
                 k += ((emit >> i) & 1) as usize;
             }
-            out.extend_from_slice(&scratch[..k]);
+            len += k;
         }
         carry = (p >> (n - 1)) & 1 == 1;
         last_nib = nibs[n - 1];
         start += n;
     }
+    *st = BlockState {
+        carry,
+        last_nib,
+        start,
+    };
+    len
 }
 
 /// Bulk-decodes a packed payload of `nibbles` beats: boundary resolution,
@@ -648,9 +793,8 @@ pub fn decode_payload_with(
     nibbles: usize,
 ) -> Result<Vec<u8>, DecodeError> {
     let count = resolve_len_with(variant, payload, nibbles)?;
-    let mut out = Vec::with_capacity(count);
-    decode_payload_into(variant, payload, nibbles, &mut out);
-    debug_assert_eq!(out.len(), count);
+    let mut out = vec![0u8; count];
+    decode_payload_to(variant, payload, nibbles, &mut out);
     Ok(out)
 }
 
@@ -734,7 +878,7 @@ mod tests {
 
     #[test]
     fn swar_pair_formula_matches_the_paper_format() {
-        // The SWAR lane formula in `decode_payload_into` must be
+        // The SWAR lane formula in the emission kernels must be
         // bit-identical to `SparkFormat::PAPER.decode` for every
         // (prev, post) nibble combination — equivalence of Eq 3's two
         // spellings.

@@ -252,9 +252,9 @@ pub fn read_container<R: Read>(mut input: R) -> Result<EncodedTensor, ContainerE
     let stream = NibbleStream::from_parts(bytes, nibbles).ok_or_else(|| {
         ContainerError::Corrupt("payload shape disagrees with the nibble count".into())
     })?;
-    let mut decoded = Vec::with_capacity(elements);
+    let mut decoded = vec![0u8; elements];
     let variant = crate::bulk::DecodeVariant::detect();
-    crate::bulk::decode_payload_into(variant, stream.as_bytes(), stream.len(), &mut decoded);
+    crate::bulk::decode_payload_to(variant, stream.as_bytes(), stream.len(), &mut decoded);
     let mut hist = [0u64; 256];
     for &v in &decoded {
         hist[v as usize] += 1;

@@ -72,7 +72,9 @@ pub mod stream;
 pub mod table;
 
 pub use analysis::{analyze, CodeAnalysis};
-pub use bulk::{decode_bulk, decode_bulk_with, decode_payload, decode_payload_with, DecodeVariant};
+pub use bulk::{
+    decode_bulk, decode_bulk_with, decode_payload, decode_payload_with, BulkCursor, DecodeVariant,
+};
 pub use code::{decode_value, encode_value, CodeKind, SparkCode, MAX_ENCODING_ERROR};
 pub use codecheck::FormatError;
 pub use general::{GeneralCode, SparkFormat};

@@ -7,11 +7,14 @@
 //! that pins that contract: single bytes exhaustively, structured parities,
 //! odd lengths, truncated long codes at every block-boundary offset, and
 //! seeded random streams, each run under Scalar and every SIMD variant the
-//! host exposes.
+//! host exposes. The resumable [`BulkCursor`] is pinned to the one-call
+//! decode: its fills, concatenated, equal [`decode_payload_with`] for
+//! every fill size from 1 to the fused GEMM's largest depth block.
 
+use spark_codec::bulk::FILL_SLACK;
 use spark_codec::{
-    decode_bulk_with, decode_stream_reference, encode_tensor, DecodeError, DecodeVariant,
-    EncodedTensor, NibbleStream,
+    decode_bulk_with, decode_payload_with, decode_stream_reference, encode_tensor, BulkCursor,
+    DecodeError, DecodeVariant, EncodedTensor, NibbleStream,
 };
 
 /// Asserts bulk == FSM (values or typed error) for one stream, all variants.
@@ -194,5 +197,64 @@ fn empty_stream_decodes_to_nothing() {
     let stream = NibbleStream::new();
     for variant in DecodeVariant::all() {
         assert_eq!(decode_bulk_with(variant, &stream), Ok(vec![]), "{}", variant.name());
+    }
+}
+
+/// The decode-fused GEMM's largest depth block: `KC` rows of an
+/// `NR`-wide panel (128 × 16 codes).
+const KC_NR: usize = 128 * 16;
+
+#[test]
+fn cursor_blocks_concatenate_to_the_whole_payload_decode() {
+    // A random long-code mix, and one short code ahead of long codes
+    // only (every long code straddles the 64-nibble block boundaries).
+    // Each stream holds more than two of the largest blocks, so every
+    // block size resumes mid-stream at least once.
+    let mut state = 0x0C0_A5E5_u64;
+    let random: Vec<u8> = (0..2 * KC_NR + 411)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 56) as u8
+        })
+        .collect();
+    let mut straddling = vec![3u8];
+    straddling.extend((0..2 * KC_NR + 97).map(|i| 8 + (i * 37 % 248) as u8));
+    for (what, values) in [("random", &random), ("straddling", &straddling)] {
+        let enc = encoded(values);
+        let (payload, nibbles) = (enc.stream.as_bytes(), enc.stream.len());
+        for variant in DecodeVariant::all() {
+            let want = decode_payload_with(variant, payload, nibbles).unwrap();
+            assert_eq!(want.len(), values.len(), "{what}");
+            let mut buf = vec![0u8; KC_NR + FILL_SLACK];
+            for block in 1..=KC_NR {
+                let ctx = format!("{what} block {block} under {}", variant.name());
+                let mut cursor = BulkCursor::new(variant, payload, nibbles);
+                let mut got = Vec::with_capacity(want.len() + FILL_SLACK);
+                while !cursor.is_done() {
+                    let n = cursor.fill(&mut buf[..block + FILL_SLACK], block);
+                    assert!(n < block + FILL_SLACK, "{ctx}: fill overran its headroom");
+                    assert!(
+                        n >= block || cursor.is_done(),
+                        "{ctx}: short fill mid-stream"
+                    );
+                    got.extend_from_slice(&buf[..n]);
+                }
+                assert_eq!(got, want, "{ctx}");
+                let past_end = cursor.fill(&mut buf[..block + FILL_SLACK], block);
+                assert_eq!(past_end, 0, "{ctx}: past end");
+            }
+        }
+    }
+}
+
+#[test]
+fn cursor_on_an_empty_payload_is_done() {
+    for variant in DecodeVariant::all() {
+        let mut cursor = BulkCursor::new(variant, &[], 0);
+        assert!(cursor.is_done());
+        let got = cursor.fill(&mut [0u8; FILL_SLACK + 1], 1);
+        assert_eq!(got, 0, "{}", variant.name());
     }
 }

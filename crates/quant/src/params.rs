@@ -76,22 +76,7 @@ impl MagnitudeCodes {
     /// Returns [`QuantError::BadConfig`] when `dims` does not match the
     /// element count.
     pub fn dequantize(&self, dims: &[usize]) -> Result<Tensor, QuantError> {
-        let qmax = ((1u64 << self.bits) - 1) as f32;
-        let step = self.scale / qmax;
-        let data: Vec<f32> = self
-            .codes
-            .iter()
-            .zip(&self.signs)
-            .map(|(&c, &neg)| {
-                let mag = c as f32 * step;
-                if neg {
-                    -mag
-                } else {
-                    mag
-                }
-            })
-            .collect();
-        Tensor::from_vec(data, dims).map_err(|e| QuantError::BadConfig(e.to_string()))
+        self.dequantize_iter(self.codes.iter().copied(), dims)
     }
 
     /// Reconstructs using externally modified codes (e.g. after a lossy
@@ -108,13 +93,42 @@ impl MagnitudeCodes {
                 self.signs.len()
             )));
         }
-        let replaced = MagnitudeCodes {
-            codes: codes.to_vec(),
-            signs: self.signs.clone(),
-            scale: self.scale,
-            bits: self.bits,
-        };
-        replaced.dequantize(dims)
+        self.dequantize_iter(codes.iter().copied(), dims)
+    }
+
+    /// Reconstructs with every code first replaced by `map[code]` (a
+    /// per-code rewrite such as a lossy encode-decode round trip), this
+    /// tensor's signs and scale.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::BadConfig`] when `dims` does not match the
+    /// element count.
+    pub fn dequantize_mapped(&self, map: &[u8; 256], dims: &[usize]) -> Result<Tensor, QuantError> {
+        self.dequantize_iter(self.codes.iter().map(|&c| map[c as usize]), dims)
+    }
+
+    /// The one dequantization rule: `code * scale / qmax`, negated where
+    /// the sign is set.
+    fn dequantize_iter(
+        &self,
+        codes: impl Iterator<Item = u8>,
+        dims: &[usize],
+    ) -> Result<Tensor, QuantError> {
+        let qmax = ((1u64 << self.bits) - 1) as f32;
+        let step = self.scale / qmax;
+        let data: Vec<f32> = codes
+            .zip(&self.signs)
+            .map(|(c, &neg)| {
+                let mag = c as f32 * step;
+                if neg {
+                    -mag
+                } else {
+                    mag
+                }
+            })
+            .collect();
+        Tensor::from_vec(data, dims).map_err(|e| QuantError::BadConfig(e.to_string()))
     }
 }
 

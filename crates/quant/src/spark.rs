@@ -1,11 +1,11 @@
 //! SPARK as a [`Codec`]: the INT8 sign-magnitude front-end followed by the
 //! variable-length encoding from `spark-codec`.
 
-use spark_codec::{CodeStats, EncodeMode};
+use spark_codec::{CodeStats, EncodeMode, SparkCode};
 use spark_tensor::Tensor;
 
 use crate::codec::{Codec, CodecResult, QuantError};
-use crate::params::MagnitudeQuantizer;
+use crate::params::{MagnitudeCodes, MagnitudeQuantizer};
 
 /// The paper's scheme end to end: per-tensor INT8 quantization, SPARK
 /// encoding with the compensation mechanism, optional tensor-level bias
@@ -72,17 +72,47 @@ impl SparkCodec {
     ) -> Result<(CodecResult, CodeStats), QuantError> {
         let quantizer = MagnitudeQuantizer::new(self.base_bits)?;
         let codes = quantizer.quantize(tensor)?;
+        self.compress_codes(tensor, &codes)
+    }
+
+    /// The encoding half of [`Self::compress_with_stats`], over `codes`
+    /// already quantized from `tensor` — for callers that need the codes
+    /// themselves too, so the tensor is quantized once.
+    ///
+    /// A code is one byte, so its SPARK round trip is computed once per
+    /// possible code and the statistics fold over the 256-bin code
+    /// histogram; every statistic is an integer sum or maximum and every
+    /// value goes through the same dequantization, so this equals a
+    /// per-value encode, record and decode to the bit.
+    ///
+    /// # Errors
+    ///
+    /// [`QuantError::BadConfig`] when `codes` does not hold one code and
+    /// one sign per element of `tensor`.
+    pub fn compress_codes(
+        &self,
+        tensor: &Tensor,
+        codes: &MagnitudeCodes,
+    ) -> Result<(CodecResult, CodeStats), QuantError> {
+        if codes.codes.len() != tensor.len() || codes.signs.len() != tensor.len() {
+            return Err(QuantError::BadConfig(format!(
+                "{} codes and {} signs for {} elements",
+                codes.codes.len(),
+                codes.signs.len(),
+                tensor.len()
+            )));
+        }
+        let spark: [SparkCode; 256] = std::array::from_fn(|c| self.mode.encode(c as u8));
+        let mut hist = [0u64; 256];
+        for &c in &codes.codes {
+            hist[c as usize] += 1;
+        }
         let mut stats = CodeStats::new();
-        let decoded: Vec<u8> = codes
-            .codes
-            .iter()
-            .map(|&c| {
-                let code = self.mode.encode(c);
-                stats.record(c, code);
-                code.decode()
-            })
-            .collect();
-        let mut reconstructed = codes.dequantize_codes(&decoded, tensor.dims())?;
+        for (c, (&code, &count)) in spark.iter().zip(&hist).enumerate() {
+            stats.record_n(c as u8, code, count);
+        }
+        let decoded: [u8; 256] = std::array::from_fn(|c| spark[c].decode());
+        let mut reconstructed = codes.dequantize_mapped(&decoded, tensor.dims())?;
         if self.bias_correct && !tensor.is_empty() {
             // End-to-end magnitude shift (quantization + encoding): a single
             // per-tensor scalar, folded into the dequantization scale in
@@ -266,6 +296,100 @@ mod tests {
     fn code_stats_rejects_non_finite() {
         let t = Tensor::from_vec(vec![f32::NAN], &[1]).unwrap();
         assert!(SparkCodec::default().code_stats(&t).is_err());
+    }
+
+    /// The per-value fold the table path replaces: encode, record and
+    /// decode every value, then dequantize the decoded codes.
+    fn per_value_fold(codec: SparkCodec, tensor: &Tensor) -> (CodecResult, CodeStats) {
+        let codes = MagnitudeQuantizer::new(codec.base_bits)
+            .unwrap()
+            .quantize(tensor)
+            .unwrap();
+        let mut stats = CodeStats::new();
+        let decoded: Vec<u8> = codes
+            .codes
+            .iter()
+            .map(|&c| {
+                let code = codec.mode.encode(c);
+                stats.record(c, code);
+                code.decode()
+            })
+            .collect();
+        let mut reconstructed = codes.dequantize_codes(&decoded, tensor.dims()).unwrap();
+        if codec.bias_correct && !tensor.is_empty() {
+            let shift = tensor
+                .as_slice()
+                .iter()
+                .zip(reconstructed.as_slice())
+                .map(|(&a, &b)| (a.abs() - b.abs()) as f64)
+                .sum::<f64>() as f32
+                / tensor.len() as f32;
+            for (v, &neg) in reconstructed.as_mut_slice().iter_mut().zip(&codes.signs) {
+                if neg {
+                    *v -= shift;
+                } else {
+                    *v += shift;
+                }
+            }
+        }
+        let avg_bits = stats.avg_bits();
+        let low_precision_fraction = stats.short_fraction();
+        let result = CodecResult {
+            reconstructed,
+            avg_bits,
+            low_precision_fraction,
+        };
+        (result, stats)
+    }
+
+    #[test]
+    fn table_path_equals_the_per_value_fold() {
+        let mut rng = spark_util::Rng::seed_from_u64(0xA7A1_75E5);
+        let random = Tensor::from_fn(&[4099], |_| rng.gen_range_f32(-3.0, 3.0));
+        let tensors = [
+            ("random", random),
+            ("long tail", long_tail_tensor(3001)),
+            ("all zero", Tensor::zeros(&[257])),
+            (
+                "all equal",
+                Tensor::from_vec(vec![-0.37; 300], &[300]).unwrap(),
+            ),
+        ];
+        for (what, t) in &tensors {
+            for codec in [
+                SparkCodec::default(),
+                SparkCodec::default().without_compensation(),
+                SparkCodec::default().without_bias_correction(),
+            ] {
+                let ctx = format!("{what} {}", codec.name());
+                let (got, got_stats) = codec.compress_with_stats(t).unwrap();
+                let (want, want_stats) = per_value_fold(codec, t);
+                assert_eq!(got_stats, want_stats, "{ctx} stats");
+                let bits = |r: &CodecResult| -> Vec<u32> {
+                    r.reconstructed
+                        .as_slice()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{ctx} reconstruction");
+                assert_eq!(got.reconstructed.dims(), want.reconstructed.dims(), "{ctx}");
+                assert_eq!(got.avg_bits.to_bits(), want.avg_bits.to_bits(), "{ctx}");
+                assert_eq!(
+                    got.low_precision_fraction.to_bits(),
+                    want.low_precision_fraction.to_bits(),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compress_codes_rejects_mismatched_codes() {
+        let t = long_tail_tensor(64);
+        let mut codes = MagnitudeQuantizer::new(8).unwrap().quantize(&t).unwrap();
+        codes.signs.pop();
+        assert!(SparkCodec::default().compress_codes(&t, &codes).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use spark_codec::{analysis, decode_stream, EncodedTensor, NibbleStream};
 use spark_data::ModelProfile;
 use spark_nn::layers::Dense;
 use spark_nn::ModelWorkload;
-use spark_quant::{Codec, MagnitudeCodes, MagnitudeQuantizer, SparkCodec};
+use spark_quant::{MagnitudeCodes, MagnitudeQuantizer, SparkCodec};
 use spark_sim::{AcceleratorKind, PrecisionProfile, SimConfig, WorkloadReport};
 use spark_tensor::{ops, EncodedMatrix, Tensor};
 use spark_util::json::{ToJson, Value};
@@ -125,7 +125,9 @@ pub fn analyze_response(values: &[f32]) -> Result<Value, String> {
     let quantizer = MagnitudeQuantizer::new(SERVE_BITS).map_err(|e| e.to_string())?;
     let codes = quantizer.quantize(&tensor).map_err(|e| e.to_string())?;
     let a = analysis::analyze(&codes.codes);
-    let r = SparkCodec::default().compress(&tensor).map_err(|e| e.to_string())?;
+    let (r, _) = SparkCodec::default()
+        .compress_codes(&tensor, &codes)
+        .map_err(|e| e.to_string())?;
     let mut members = match a.to_json() {
         Value::Object(members) => members,
         _ => unreachable!("to_json_struct always yields an object"),

@@ -24,17 +24,19 @@
 //! bit-for-bit: `step = scale / qmax`, `value = code as f32 * step`,
 //! negated where the sign bit is set. A code is one byte, so each matrix
 //! evaluates that expression once per possible code at construction and
-//! keeps the 256 results as bit patterns; a value is then
+//! keeps the 256 results as bit patterns ([`Dequant`]); a value is then
 //! `table[code] ^ (sign << 31)`. Flipping the sign bit *is* `f32`
 //! negation (Rust's `-x` lowers to `fneg`, which touches only the sign
 //! bit, NaN payloads included), so the table read is the same expression
-//! to the bit. Both [`EncodedMatrix::decode`] (the decode-then-GEMM
-//! reference path) and the fused panel decoder dequantize through the
-//! same table, which is half of the fused path's bit-identity argument
-//! (the other half is the GEMM schedule itself, see [`crate::gemm`]). The
-//! integer-domain GEMM path reads the same codes and sign plane but skips
-//! the table: it takes each value as the signed code `±code` and applies
-//! `step` once per depth block.
+//! to the bit. [`EncodedMatrix::decode`] (the decode-then-GEMM reference
+//! path) dequantizes through the table; the fused panel decoder's SIMD
+//! emitters ([`crate::emit`]) compute the same `code as f32 * step` in
+//! vector lanes and flip the same sign bit, which is half of the fused
+//! path's bit-identity argument (the other half is the GEMM schedule
+//! itself, see [`crate::gemm`]). The integer-domain GEMM path reads the
+//! same codes and sign plane but skips the dequantization: it takes each
+//! value as the signed code `±code` and applies `step` once per depth
+//! block.
 //!
 //! # Trust boundary
 //!
@@ -56,9 +58,14 @@
 //! through the full [`spark_codec::read_container`] path as an independent
 //! oracle.
 
-use crate::gemm::NR;
+use crate::emit::{self, dequant_run, Dequant};
+use crate::gemm::{GemmVariant, IntVariant, KC, NR};
 use crate::{stats, ShapeError, Tensor};
-use spark_codec::{container, ContainerError, DecodeError, EncodeMode, EncodePlan, HEADER_LEN};
+use spark_codec::bulk::FILL_SLACK;
+use spark_codec::{
+    container, BulkCursor, ContainerError, DecodeError, DecodeVariant, EncodeMode, EncodePlan,
+    HEADER_LEN,
+};
 
 /// Errors from encoding, decoding, or running GEMM over an
 /// [`EncodedMatrix`].
@@ -153,58 +160,8 @@ pub struct EncodedMatrix {
     nibbles: Vec<usize>,
     /// Aggregate code statistics (empty for [`Self::from_raw_parts`]).
     stats: spark_codec::CodeStats,
-    /// `(code as f32 * profile.step()).to_bits()` for every code.
-    dequant: Box<DequantTable>,
-}
-
-/// One dequantized magnitude per 8-bit code, as `f32` bit patterns.
-type DequantTable = [u32; 256];
-
-fn dequant_table(profile: PrecisionProfile) -> Box<DequantTable> {
-    let step = profile.step();
-    // Bit-for-bit the MagnitudeCodes::dequantize expression.
-    Box::new(std::array::from_fn(|c| (c as f32 * step).to_bits()))
-}
-
-/// Dequantizes the run of elements `e0..e0 + out.len()` of a panel: the
-/// codes and the panel's sign plane in, values out. A full-width row of a
-/// panel starts on a sign byte boundary (`e0` is a multiple of `NR`), so
-/// its signs are read as one `u16` and the loop has no branch or variable
-/// index; any other run takes the per-element loop through the same
-/// table.
-#[inline]
-fn dequant_run(table: &DequantTable, codes: &[u8], signs: &[u8], e0: usize, out: &mut [f32]) {
-    debug_assert_eq!(codes.len(), out.len());
-    if let (Ok(out), Ok(codes)) = (
-        <&mut [f32; NR]>::try_from(&mut *out),
-        <&[u8; NR]>::try_from(codes),
-    ) {
-        if e0.is_multiple_of(8) {
-            let bits = sign_bits16(signs, e0);
-            for (l, (slot, &code)) in out.iter_mut().zip(codes).enumerate() {
-                *slot = f32::from_bits(table[code as usize] ^ ((bits >> l) & 1) << 31);
-            }
-            return;
-        }
-    }
-    for (l, (slot, &code)) in out.iter_mut().zip(codes).enumerate() {
-        let e = e0 + l;
-        let sign = u32::from(signs[e >> 3] >> (e & 7) & 1);
-        *slot = f32::from_bits(table[code as usize] ^ sign << 31);
-    }
-}
-
-/// The 16 sign bits of elements `e0..e0 + 16`, for `e0` a multiple of 8.
-#[inline(always)]
-fn sign_bits16(signs: &[u8], e0: usize) -> u32 {
-    u32::from(u16::from_le_bytes([signs[e0 >> 3], signs[(e0 >> 3) + 1]]))
-}
-
-/// `code` negated when `sign` (0 or 1) is set, branch-free.
-#[inline(always)]
-fn signed_code(code: u8, sign: u32) -> i16 {
-    let neg = -(sign as i16);
-    (i16::from(code) ^ neg) - neg
+    /// The dequantization of `profile.step()`.
+    dequant: Dequant,
 }
 
 impl EncodedMatrix {
@@ -295,7 +252,7 @@ impl EncodedMatrix {
             signs,
             nibbles,
             stats,
-            dequant: dequant_table(profile),
+            dequant: Dequant::new(profile.step()),
         })
     }
 
@@ -335,7 +292,7 @@ impl EncodedMatrix {
             signs,
             nibbles,
             stats: spark_codec::CodeStats::new(),
-            dequant: dequant_table(profile),
+            dequant: Dequant::new(profile.step()),
         })
     }
 
@@ -400,8 +357,8 @@ impl EncodedMatrix {
         self.resident_bytes() as f64 / self.dense_bytes() as f64
     }
 
-    /// Bulk-decodes panel `p` for the fused GEMM packer. The container was
-    /// validated when the matrix was built, so this cannot fail.
+    /// A decoder over panel `p` for the fused GEMM packer. The container
+    /// was validated when the matrix was built, so decoding cannot fail.
     pub(crate) fn panel_decoder(&self, p: usize) -> PanelDecoder<'_> {
         PanelDecoder::new(
             &self.panels[p][HEADER_LEN..],
@@ -485,48 +442,58 @@ fn validate_panels(
         .collect()
 }
 
-/// Decoder over one validated panel: bulk-decodes the whole code stream
-/// through the bit-parallel engine ([`spark_codec::bulk`]), then serves
-/// depth-blocks of dequantized values to the fused packer as pure table
-/// reads. The upfront code buffer is one byte per element — for a
-/// `KC x NR` panel group a few KiB, dwarfed by the `f32` panel buffers the
-/// GEMM already holds — and it removes the per-nibble FSM step from the
-/// KC-loop entirely.
+/// Codes a [`PanelDecoder`] holds at once: one `KC`-deep block of a
+/// full-width panel plus the bulk cursor's fill headroom.
+const CODE_BUF: usize = KC * NR + FILL_SLACK;
+
+/// Decoder over one validated panel: serves the fused packer one depth
+/// block at a time. Each block's codes are bulk-decoded
+/// ([`spark_codec::bulk`]) into a fixed buffer of a few KiB, which stays
+/// L1-resident, by a [`BulkCursor`] that resumes where the previous block
+/// stopped. The operand emitters ([`crate::emit`]) then turn those codes
+/// into the block's `f32` or signed-pair panel. Nothing is decoded ahead
+/// of the block being packed, except the fewer than `FILL_SLACK` codes the
+/// cursor's last 64-nibble block ran past it, which the next block starts
+/// with.
 pub(crate) struct PanelDecoder<'a> {
+    cursor: BulkCursor<'a>,
     signs: &'a [u8],
-    codes: Vec<u8>,
+    dequant: &'a Dequant,
     elements: usize,
-    table: &'a DequantTable,
     emitted: usize,
+    /// `codes[..block]` is the block being emitted, `codes[block..held]`
+    /// what the cursor decoded past it.
+    codes: [u8; CODE_BUF],
+    block: usize,
+    held: usize,
 }
 
 impl<'a> PanelDecoder<'a> {
-    /// Decodes a `nibbles`-beat payload that [`validate_panels`] accepted
-    /// for `elements` values and positions the decoder at the first
-    /// element.
+    /// A decoder over a `nibbles`-beat payload that [`validate_panels`]
+    /// accepted for `elements` values, positioned at the first element.
     pub(crate) fn new(
-        payload: &[u8],
+        payload: &'a [u8],
         nibbles: usize,
         signs: &'a [u8],
         elements: usize,
-        table: &'a DequantTable,
+        dequant: &'a Dequant,
     ) -> Self {
-        let mut codes = Vec::with_capacity(elements);
-        let variant = spark_codec::DecodeVariant::detect();
-        spark_codec::bulk::decode_payload_into(variant, payload, nibbles, &mut codes);
-        debug_assert_eq!(codes.len(), elements, "panel was not validated");
         Self {
+            cursor: BulkCursor::new(DecodeVariant::detect(), payload, nibbles),
             signs,
-            codes,
+            dequant,
             elements,
-            table,
             emitted: 0,
+            codes: [0; CODE_BUF],
+            block: 0,
+            held: 0,
         }
     }
 
     /// Decodes the next `rows` depth-rows of a `w`-wide panel into `dst`,
-    /// one `NR`-strided row per depth step (`dst[r * NR + lane]`); lanes
-    /// `w..NR` are left untouched (the caller pre-zeroes them).
+    /// one `NR`-strided row per depth step (`dst[r * NR + lane]`), through
+    /// `variant`'s [`emit::emit_f32`] tier; lanes `w..NR` are left
+    /// untouched (the caller pre-zeroes them).
     ///
     /// # Errors
     ///
@@ -534,79 +501,65 @@ impl<'a> PanelDecoder<'a> {
     /// than the panel holds (a packer-layout bug, kept typed).
     pub(crate) fn decode_rows(
         &mut self,
+        variant: GemmVariant,
         dst: &mut [f32],
         rows: usize,
         w: usize,
     ) -> Result<(), EncodedError> {
-        debug_assert!(dst.len() >= rows * NR || rows == 0);
-        let e = self.claim(rows * w)?;
-        for r in 0..rows {
-            let e0 = e + r * w;
-            let row = &mut dst[r * NR..r * NR + w];
-            dequant_run(self.table, &self.codes[e0..e0 + w], self.signs, e0, row);
-        }
+        let e0 = self.next_block(rows * w)?;
+        emit::emit_f32(
+            variant,
+            self.dequant,
+            &self.codes,
+            self.signs,
+            e0,
+            rows,
+            w,
+            dst,
+        );
         Ok(())
     }
 
     /// The integer-domain twin of [`Self::decode_rows`]: writes the next
-    /// `rows` depth-rows of a `w`-wide panel as signed codes (`±code`, no
-    /// dequantization) interleaved by depth pair, depth `2 * pair + h` of
-    /// lane `l` at `dst[(pair * NR + l) * 2 + h]`. An odd `rows` leaves the
-    /// second half of its last pair zero; lanes `w..NR` are left untouched
-    /// (the caller pre-zeroes them).
+    /// `rows` depth-rows as signed codes interleaved by depth pair through
+    /// `variant`'s [`emit::emit_pairs`] tier (layout there).
     ///
     /// # Errors
     ///
     /// As [`Self::decode_rows`].
     pub(crate) fn decode_pairs(
         &mut self,
+        variant: IntVariant,
         dst: &mut [i16],
         rows: usize,
         w: usize,
     ) -> Result<(), EncodedError> {
-        debug_assert!(dst.len() >= rows.div_ceil(2) * 2 * NR);
-        let e = self.claim(rows * w)?;
-        for (pair, out) in dst
-            .chunks_exact_mut(2 * NR)
-            .take(rows.div_ceil(2))
-            .enumerate()
-        {
-            let e0 = e + 2 * pair * w;
-            let out: &mut [i16; 2 * NR] = out.try_into().expect("2 * NR chunk");
-            if w == NR && 2 * pair + 1 < rows {
-                // Two full rows: their signs are two aligned u16s of the
-                // plane. Each row is signed lane-parallel (a per-lane bit
-                // test, no variable shift), then the rows are interleaved.
-                let codes: &[u8; 2 * NR] =
-                    self.codes[e0..e0 + 2 * NR].try_into().expect("two rows");
-                let (s0, s1) = (
-                    sign_bits16(self.signs, e0),
-                    sign_bits16(self.signs, e0 + NR),
-                );
-                let (mut r0, mut r1) = ([0i16; NR], [0i16; NR]);
-                for l in 0..NR {
-                    r0[l] = signed_code(codes[l], u32::from(s0 & 1 << l != 0));
-                    r1[l] = signed_code(codes[NR + l], u32::from(s1 & 1 << l != 0));
-                }
-                for l in 0..NR {
-                    out[2 * l] = r0[l];
-                    out[2 * l + 1] = r1[l];
-                }
-                continue;
-            }
-            for h in 0..2 {
-                let r = 2 * pair + h;
-                for l in 0..w {
-                    out[2 * l + h] = if r < rows {
-                        let e = e0 + h * w + l;
-                        signed_code(self.codes[e], u32::from(self.signs[e >> 3] >> (e & 7) & 1))
-                    } else {
-                        0
-                    };
-                }
-            }
-        }
+        let e0 = self.next_block(rows * w)?;
+        emit::emit_pairs(variant, &self.codes, self.signs, e0, rows, w, dst);
         Ok(())
+    }
+
+    /// Claims the next `count` elements, leaves their codes in
+    /// `codes[..count]` and returns the panel index of the first.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::claim`].
+    fn next_block(&mut self, count: usize) -> Result<usize, EncodedError> {
+        assert!(count <= KC * NR, "a depth block holds at most KC full rows");
+        let e0 = self.claim(count)?;
+        // Carry what the last fill decoded past the previous block (fewer
+        // than FILL_SLACK codes) to the front, then top up to `count`.
+        self.codes.copy_within(self.block..self.held, 0);
+        self.held -= self.block;
+        if self.held < count {
+            self.held += self
+                .cursor
+                .fill(&mut self.codes[self.held..], count - self.held);
+        }
+        debug_assert!(self.held >= count, "panel was not validated");
+        self.block = count;
+        Ok(e0)
     }
 
     /// Claims the next `count` elements for the packer and returns the
@@ -636,6 +589,10 @@ impl<'a> PanelDecoder<'a> {
     ///
     /// [`EncodedError::Container`] when elements remain.
     pub(crate) fn finish(&self) -> Result<(), EncodedError> {
+        debug_assert!(
+            self.emitted != self.elements || (self.cursor.is_done() && self.held == self.block),
+            "a validated stream ends with its last element"
+        );
         if self.emitted != self.elements {
             return Err(ContainerError::Corrupt(format!(
                 "panel not fully consumed: {}/{} elements",
@@ -899,7 +856,7 @@ mod tests {
     #[test]
     fn dequant_table_is_the_scalar_expression_for_every_code_and_sign() {
         for profile in edge_profiles() {
-            let table = dequant_table(profile);
+            let table = Dequant::new(profile.step());
             let step = profile.step();
             let codes: Vec<u8> = (0..=255).collect();
             // Sign planes for "all clear", "all set" and an alternating
@@ -935,20 +892,14 @@ mod tests {
             }
         }
         // The edge profiles really reach the edges.
-        assert!(f32::from_bits(
-            dequant_table(PrecisionProfile {
-                scale: f32::MAX,
-                bits: 4
-            })[255]
-        )
-        .is_infinite());
-        assert!(f32::from_bits(
-            dequant_table(PrecisionProfile {
-                scale: f32::MIN_POSITIVE,
-                bits: 8
-            })[1]
-        )
-        .is_subnormal());
+        let value = |scale, bits, code| {
+            let mut out = [0.0f32];
+            let dq = Dequant::new(PrecisionProfile { scale, bits }.step());
+            dequant_run(&dq, &[code], &[0], 0, &mut out);
+            out[0]
+        };
+        assert!(value(f32::MAX, 4, 255).is_infinite());
+        assert!(value(f32::MIN_POSITIVE, 8, 1).is_subnormal());
     }
 
     /// Builds a `k x n` matrix through `from_raw_parts` whose panels
@@ -987,7 +938,6 @@ mod tests {
 
     #[test]
     fn decode_and_panel_decoder_match_the_scalar_expression() {
-        use crate::gemm::KC;
         for profile in edge_profiles() {
             let step = profile.step();
             for n in [1, 15, 16, 17, 33] {
@@ -1006,70 +956,77 @@ mod tests {
                         .map(|v| v.to_bits())
                         .collect();
                     assert_eq!(got, want, "decode {ctx}");
-                    // The fused packer's walk: KC-row blocks per panel.
-                    // Lanes past the panel width must never be written.
+                    // The fused packer's walk under every emitter tier:
+                    // KC-row blocks per panel. Lanes past the panel width
+                    // must never be written.
                     const SENTINEL: u32 = 0x7FC0_BEEF;
-                    for p in 0..em.panels() {
-                        let w = em.panel_width(p);
-                        let mut dec = em.panel_decoder(p);
-                        let mut kb = 0;
-                        while kb < k {
-                            let depth = KC.min(k - kb);
-                            let mut dst = vec![f32::from_bits(SENTINEL); KC * NR];
-                            dec.decode_rows(&mut dst[..depth * NR], depth, w).unwrap();
-                            for r in 0..depth {
-                                for l in 0..NR {
-                                    let got = dst[r * NR + l].to_bits();
-                                    if l < w {
-                                        let e = (kb + r) * n + p * NR + l;
-                                        assert_eq!(
-                                            got,
-                                            want[e],
-                                            "panel decoder {ctx} ({}, {l})",
-                                            kb + r
-                                        );
-                                    } else {
-                                        assert_eq!(got, SENTINEL, "pad lane written {ctx}");
+                    for variant in GemmVariant::available() {
+                        for p in 0..em.panels() {
+                            let w = em.panel_width(p);
+                            let mut dec = em.panel_decoder(p);
+                            let mut kb = 0;
+                            while kb < k {
+                                let depth = KC.min(k - kb);
+                                let mut dst = vec![f32::from_bits(SENTINEL); KC * NR];
+                                dec.decode_rows(variant, &mut dst[..depth * NR], depth, w)
+                                    .unwrap();
+                                for r in 0..depth {
+                                    for l in 0..NR {
+                                        let got = dst[r * NR + l].to_bits();
+                                        let at =
+                                            format!("{ctx} {} ({}, {l})", variant.name(), kb + r);
+                                        if l < w {
+                                            let e = (kb + r) * n + p * NR + l;
+                                            assert_eq!(got, want[e], "panel decoder {at}");
+                                        } else {
+                                            assert_eq!(got, SENTINEL, "pad lane written {at}");
+                                        }
                                     }
                                 }
+                                kb += depth;
                             }
-                            kb += depth;
+                            dec.finish().unwrap();
                         }
-                        dec.finish().unwrap();
                     }
-                    // The integer path's walk: signed codes interleaved by
-                    // depth pair, a zero closing an odd block's last pair,
-                    // lanes past the panel width untouched.
-                    for p in 0..em.panels() {
-                        let w = em.panel_width(p);
-                        let mut dec = em.panel_decoder(p);
-                        let mut kb = 0;
-                        while kb < k {
-                            let depth = KC.min(k - kb);
-                            let padded = depth.div_ceil(2) * 2;
-                            let mut dst = vec![i16::MIN; KC * NR];
-                            dec.decode_pairs(&mut dst[..padded * NR], depth, w).unwrap();
-                            for r in 0..padded {
-                                for l in 0..NR {
-                                    let got = dst[(r / 2 * NR + l) * 2 + r % 2];
-                                    let want = match (l < w, r < depth) {
-                                        (false, _) => i16::MIN,
-                                        (true, false) => 0,
-                                        (true, true) => {
-                                            let (c, neg) = codes[(kb + r) * n + p * NR + l];
-                                            if neg {
-                                                -i16::from(c)
-                                            } else {
-                                                i16::from(c)
+                    // The integer path's walk under every tier: signed
+                    // codes interleaved by depth pair, a zero closing an
+                    // odd block's last pair, lanes past the panel width
+                    // untouched.
+                    for variant in IntVariant::available() {
+                        for p in 0..em.panels() {
+                            let w = em.panel_width(p);
+                            let mut dec = em.panel_decoder(p);
+                            let mut kb = 0;
+                            while kb < k {
+                                let depth = KC.min(k - kb);
+                                let padded = depth.div_ceil(2) * 2;
+                                let mut dst = vec![i16::MIN; KC * NR];
+                                dec.decode_pairs(variant, &mut dst[..padded * NR], depth, w)
+                                    .unwrap();
+                                for r in 0..padded {
+                                    for l in 0..NR {
+                                        let got = dst[(r / 2 * NR + l) * 2 + r % 2];
+                                        let want = match (l < w, r < depth) {
+                                            (false, _) => i16::MIN,
+                                            (true, false) => 0,
+                                            (true, true) => {
+                                                let (c, neg) = codes[(kb + r) * n + p * NR + l];
+                                                if neg {
+                                                    -i16::from(c)
+                                                } else {
+                                                    i16::from(c)
+                                                }
                                             }
-                                        }
-                                    };
-                                    assert_eq!(got, want, "pair decoder {ctx} ({}, {l})", kb + r);
+                                        };
+                                        let at =
+                                            format!("{ctx} {} ({}, {l})", variant.name(), kb + r);
+                                        assert_eq!(got, want, "pair decoder {at}");
+                                    }
                                 }
+                                kb += depth;
                             }
-                            kb += depth;
+                            dec.finish().unwrap();
                         }
-                        dec.finish().unwrap();
                     }
                     // The whole fused f32 GEMM against the dense engine
                     // over decode()'s output. A NaN that arithmetic

@@ -64,11 +64,13 @@
 //!
 //! * **Activations.** Row `r` of `A` becomes `i16` with the symmetric
 //!   scale `s_r = amax_r / 32767`: `q = rne(a * (32767 / amax_r))`.
-//! * **Weights.** The panel decoder (`PanelDecoder::decode_pairs`) emits
-//!   each SPARK code as a signed `i16` (sign-magnitude, `-255..=255`, 9
-//!   bits, so it does not fit the `i8` of `vpdpbusd`) into `KC`-deep
-//!   panels interleaved by depth pair: `dst[(pair * NR + lane) * 2 + h]`
-//!   holds depth `2 * pair + h`.
+//! * **Weights.** The panel decoder bulk-decodes one `KC`-deep block of
+//!   codes at a time, and the signed-pair emitter of the call's tier
+//!   ([`crate::emit::emit_pairs`]: `vpmovzxbw`, a masked negate and a
+//!   `vpermw` interleave on AVX-512) writes each SPARK code as a signed
+//!   `i16` (sign-magnitude, `-255..=255`, 9 bits, so it does not fit the
+//!   `i8` of `vpdpbusd`) into `KC`-deep panels interleaved by depth pair:
+//!   `dst[(pair * NR + lane) * 2 + h]` holds depth `2 * pair + h`.
 //! * **MAC.** A 4-row x 4-panel tile accumulates `i32` sums, two depths per
 //!   instruction: 16 `vpdpwssd` per depth pair (512 MACs) on AVX-512 VNNI,
 //!   `vpmaddwd` + `vpaddd` on AVX2, plain loops in the scalar reference.
@@ -99,9 +101,9 @@ pub const NR: usize = 16;
 /// Row height of the register tile.
 pub const MR: usize = 4;
 /// Depth block of the decode-fused engine ([`gemm_encoded_with`]): each
-/// encoded panel is decoded and consumed `KC` rows at a time so the
-/// active decode scratch stays cache-resident while partial accumulators
-/// park in the output stripe between blocks.
+/// encoded panel is decoded, emitted and consumed `KC` rows at a time so
+/// the codes and operand panels stay cache-resident while partial
+/// accumulators park in the output stripe between blocks.
 pub const KC: usize = 128;
 /// Panels per group in the decode-fused engine — matches the four-panel
 /// column blocks of the AVX-512 steady-state kernel.
@@ -184,8 +186,8 @@ pub enum IntVariant {
     /// `vpmaddwd` + `vpaddd` over 8-lane `i32` accumulators (requires
     /// `avx2`).
     Avx2,
-    /// `vpdpwssd` over 16-lane `i32` accumulators (requires `avx512f` and
-    /// `avx512vnni`).
+    /// `vpdpwssd` over 16-lane `i32` accumulators (requires `avx512f`,
+    /// `avx512bw` and `avx512vnni`).
     Avx512Vnni,
 }
 
@@ -215,8 +217,12 @@ impl IntVariant {
             #[cfg(target_arch = "x86_64")]
             IntVariant::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
+            // BW for the operand emitter's 32-lane word ops; every VNNI
+            // part has it.
             IntVariant::Avx512Vnni => {
-                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vnni")
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512bw")
+                    && is_x86_feature_detected!("avx512vnni")
             }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
@@ -961,7 +967,8 @@ fn fused_group(
             let dst = scratch.panels_mut();
             for (q, dec) in decs.iter_mut().enumerate() {
                 let w = NR.min(gw - q * NR);
-                dec.decode_rows(&mut dst[q * b2off..q * b2off + depth * NR], depth, w)?;
+                let panel = &mut dst[q * b2off..q * b2off + depth * NR];
+                dec.decode_rows(variant, panel, depth, w)?;
             }
         }
         let bbuf = scratch.panels();
@@ -1272,7 +1279,8 @@ fn fused_group_int(
         let dst = scratch.panels_mut();
         for (q, dec) in decs.iter_mut().enumerate() {
             let w = NR.min(gw - q * NR);
-            dec.decode_pairs(&mut dst[q * PANEL_I16..][..pairs * 2 * NR], depth, w)?;
+            let panel = &mut dst[q * PANEL_I16..][..pairs * 2 * NR];
+            dec.decode_pairs(variant, panel, depth, w)?;
         }
         let bbuf = &scratch.panels()[..GQ * PANEL_I16];
         for i in (0..m).step_by(MR) {

@@ -30,6 +30,7 @@ mod error;
 mod shape;
 mod tensor;
 
+pub mod emit;
 pub mod encoded;
 pub mod gemm;
 pub mod im2col;

@@ -4,7 +4,10 @@
 //!    `to_bits()`-identical to the scalar integer reference over ragged
 //!    shapes: `m` from 4 to 67, odd `k`, `k` across and exactly on `KC`
 //!    boundaries, `n` not a multiple of `NR`, `k = 0` under every
-//!    epilogue, and all-zero rows (scale 0).
+//!    epilogue, and all-zero rows (scale 0), and over weights whose long
+//!    codes straddle the bulk decoder's blocks. Every signed-pair emitter
+//!    tier writes the scalar tier's pairs for all 256 codes with both
+//!    signs, every panel width and every row-count class.
 //! 2. **No accumulator wraps.** The worst-case operand — every `|a|` at the
 //!    row maximum, every weight code 255 with one sign — matches the
 //!    output built from exact `i64` block sums.
@@ -15,6 +18,7 @@
 //!    outside the normal `f32` range return the oracle's bits.
 
 use spark_data::ModelProfile;
+use spark_tensor::emit::emit_pairs;
 use spark_tensor::encoded::EncodedMatrix;
 use spark_tensor::gemm::{
     gemm_encoded_int_with, gemm_encoded_with, Epilogue, GemmVariant, IntVariant, KC, MR, NR,
@@ -453,4 +457,121 @@ fn auto_path_error_is_bounded_on_random_shapes() {
             Ok(())
         },
     );
+}
+
+/// `rows * w` codes starting at panel element `e0`, element `e` holding
+/// code `e % 256` and sign `(e / 256) % 2`, so every code appears with
+/// both signs within 512 elements; the sign plane covers elements
+/// `0..e0 + rows * w`.
+fn emitter_operands(e0: usize, rows: usize, w: usize) -> (Vec<u8>, Vec<u8>) {
+    let end = e0 + rows * w;
+    let codes: Vec<u8> = (e0..end).map(|e| (e % 256) as u8).collect();
+    let mut signs = vec![0u8; end.div_ceil(8)];
+    for e in 0..end {
+        if (e / 256) % 2 == 1 {
+            signs[e / 8] |= 1 << (e % 8);
+        }
+    }
+    (codes, signs)
+}
+
+/// Every signed-pair emitter tier writes the scalar tier's `±code`
+/// pairs for all 256 codes with both signs, every panel width, aligned
+/// and unaligned starts, and odd, short, full and long row counts: depth
+/// `2 * pair + h` of lane `l` at `(pair * NR + l) * 2 + h`, a zero closing
+/// an odd count's last pair, lanes past the panel width untouched.
+#[test]
+fn pair_emitter_tiers_match_the_scalar_tier() {
+    for w in 1..=NR {
+        for rows in [
+            0,
+            1,
+            2,
+            3,
+            2 * 7 + 1,
+            KC - 1,
+            KC,
+            (2 * 256usize).div_ceil(w),
+        ] {
+            for e0 in [0, 8, 3, 2 * KC * w] {
+                let (codes, signs) = emitter_operands(e0, rows, w);
+                let ctx = format!("w {w} rows {rows} e0 {e0}");
+                let len = rows.div_ceil(2) * 2 * NR;
+                let run = |v: IntVariant| {
+                    let mut dst = vec![i16::MIN; len];
+                    emit_pairs(v, &codes, &signs, e0, rows, w, &mut dst);
+                    dst
+                };
+                let want = run(IntVariant::Scalar);
+                for (i, &got) in want.iter().enumerate() {
+                    let (pair, l, h) = (i / (2 * NR), i / 2 % NR, i % 2);
+                    let r = 2 * pair + h;
+                    let expect = match (l < w, r < rows) {
+                        (false, _) => i16::MIN,
+                        (true, false) => 0,
+                        (true, true) => {
+                            let e = e0 + r * w + l;
+                            let code = (e % 256) as i16;
+                            if (e / 256) % 2 == 1 {
+                                -code
+                            } else {
+                                code
+                            }
+                        }
+                    };
+                    assert_eq!(got, expect, "{ctx}: scalar tier (row {r}, lane {l})");
+                }
+                for v in IntVariant::available() {
+                    assert_eq!(run(v), want, "{ctx}: {} tier", v.name());
+                }
+            }
+        }
+    }
+}
+
+/// Every integer tier stays bit-identical to the scalar reference over
+/// weights whose long codes straddle the bulk decoder's 64-nibble blocks
+/// and end `KC` depth blocks part-way through one (`lead` short codes,
+/// then long codes only), at `k` = 0 and 1, odd, short of, on and past
+/// `KC`, and panel widths 1 to 16 and beyond.
+#[test]
+fn int_tiers_bit_identical_across_block_boundaries() {
+    for lead in [0, 1, 2, 5] {
+        for k in [0, 1, 3, KC - 1, KC, KC + 1, 2 * KC + 3] {
+            for n in [1, 7, NR, NR + 5, 2 * NR + 1] {
+                let b: Vec<f32> = (0..k * n)
+                    .map(|i| {
+                        let code = match i {
+                            0 => 255,
+                            i if i <= lead => (i % 8) as u32,
+                            i => 8 + (i as u32 * 37) % 248,
+                        };
+                        let x = code as f32 / 255.0;
+                        if i % 3 == 1 {
+                            -x
+                        } else {
+                            x
+                        }
+                    })
+                    .collect();
+                let em = encode(k, n, &b);
+                let m = MR + 1;
+                let a: Vec<f32> = (0..m * k).map(|i| ((i * 7) % 11) as f32 - 5.0).collect();
+                let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.5 - 1.0).collect();
+                tiers_match_scalar(m, &a, &em, &bias)
+                    .unwrap_or_else(|e| panic!("lead {lead} {m}x{k}x{n} {e}"));
+            }
+        }
+    }
+}
+
+/// A row count whose code count overflows `usize` is refused, never
+/// wrapped past the bounds check into an out-of-bounds SIMD write.
+#[test]
+#[should_panic(expected = "emitter operands out of bounds")]
+fn pair_emitter_refuses_an_overflowing_row_count() {
+    let variant = IntVariant::detect().unwrap_or(IntVariant::Scalar);
+    let mut dst = [0i16; 2 * NR];
+    let (codes, signs, rows) = ([0u8; 2 * NR], [0u8; 4], usize::MAX / 8);
+    emit_pairs(variant, &codes, &signs, 0, rows, NR, &mut dst);
 }

@@ -15,11 +15,18 @@
 //! `k = 0`, ragged `n % NR` and `k % KC` tails, all-zero weights, and
 //! denormal-heavy operands on both sides of the product.
 //!
+//! The operand emitters are pinned on their own too: every `f32` emitter
+//! tier writes the scalar tier's bits for all 256 codes with both signs,
+//! every panel width and every row-count class, and weights whose long
+//! codes straddle the bulk decoder's 64-nibble blocks and the `KC` depth
+//! blocks stay bit-identical end to end.
+//!
 //! The public `ops::matmul_*_encoded` calls are the auto path: bit-identical
 //! to this oracle below `MR` rows, and within a relative L2 error of `1e-3`
 //! at `m >= MR`, where they may take the integer-domain path
 //! (`fused_int_properties.rs` holds that path's own properties).
 
+use spark_tensor::emit::{emit_f32, Dequant};
 use spark_tensor::encoded::EncodedMatrix;
 use spark_tensor::gemm::{gemm_encoded_with, gemm_with, Epilogue, GemmVariant, Layout, KC, MR, NR};
 use spark_tensor::{ops, Tensor};
@@ -318,4 +325,132 @@ fn denormal_heavy_operands_bit_identical() {
         .collect();
     let b_ord: Vec<f32> = (0..k * n).map(|_| rng.gen_range_f32(-2.0, 2.0)).collect();
     assert_cross_engine(m, k, n, &a_sub, &b_ord, "subnormal A");
+}
+
+/// Depth-row counts an emitter call sees: none, one, odd, short of `KC`,
+/// exactly `KC`, and enough rows that a panel of any width holds every
+/// code with both signs.
+fn emitter_rows(w: usize) -> [usize; 7] {
+    [0, 1, 3, 2 * 7, KC - 1, KC, (2 * 256usize).div_ceil(w)]
+}
+
+/// `rows * w` codes starting at panel element `e0`, element `e` holding
+/// code `e % 256` and sign `(e / 256) % 2`, so every code appears with
+/// both signs within 512 elements; the sign plane covers elements
+/// `0..e0 + rows * w`.
+fn emitter_operands(e0: usize, rows: usize, w: usize) -> (Vec<u8>, Vec<u8>) {
+    let end = e0 + rows * w;
+    let codes: Vec<u8> = (e0..end).map(|e| (e % 256) as u8).collect();
+    let mut signs = vec![0u8; end.div_ceil(8)];
+    for e in 0..end {
+        if (e / 256) % 2 == 1 {
+            signs[e / 8] |= 1 << (e % 8);
+        }
+    }
+    (codes, signs)
+}
+
+/// Every `f32` emitter tier writes the scalar tier's bits — which are
+/// `code as f32 * step`, negated under the sign bit — for all 256 codes
+/// with both signs, every panel width, aligned and unaligned starts, and
+/// every row count class; lanes past the panel width stay untouched.
+#[test]
+fn f32_emitter_tiers_match_the_scalar_tier() {
+    const SENTINEL: u32 = 0x7FC0_BEEF;
+    let steps = [
+        0.731 / 255.0,
+        0.0,
+        f32::MIN_POSITIVE / 255.0,
+        f32::MAX / 15.0,
+        f32::INFINITY,
+        f32::NAN,
+        f32::from_bits(0xFFC0_1234),
+    ];
+    for step in steps {
+        let dq = Dequant::new(step);
+        for w in 1..=NR {
+            for rows in emitter_rows(w) {
+                for e0 in [0, 8, 3, 2 * KC * w] {
+                    let (codes, signs) = emitter_operands(e0, rows, w);
+                    let ctx = format!("step {step:e} w {w} rows {rows} e0 {e0}");
+                    let run = |v: GemmVariant| {
+                        let mut dst = vec![f32::from_bits(SENTINEL); rows * NR];
+                        emit_f32(v, &dq, &codes, &signs, e0, rows, w, &mut dst);
+                        dst.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+                    };
+                    let want = run(GemmVariant::Scalar);
+                    for (i, &got) in want.iter().enumerate() {
+                        let (r, l) = (i / NR, i % NR);
+                        if l >= w {
+                            assert_eq!(got, SENTINEL, "{ctx}: pad lane ({r}, {l}) written");
+                            continue;
+                        }
+                        let e = e0 + r * w + l;
+                        let mag = (e % 256) as f32 * step;
+                        let value = if (e / 256) % 2 == 1 { -mag } else { mag };
+                        assert_eq!(got, value.to_bits(), "{ctx}: scalar tier ({r}, {l})");
+                    }
+                    for v in GemmVariant::available() {
+                        assert_eq!(run(v), want, "{ctx}: {} tier", v.name());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Weights whose panel streams put long codes across every kind of
+/// boundary: `lead` short codes, then long codes only, so each long code
+/// starts on an odd nibble when `lead` is odd and straddles every 64-nibble
+/// block boundary the bulk decoder splits at, and the `KC`-deep depth
+/// blocks end part-way through a 64-nibble block. Values are `code / 255`
+/// with a full-scale entry, so they quantize to exactly those codes.
+fn straddling_weights(k: usize, n: usize, lead: usize) -> Vec<f32> {
+    (0..k * n)
+        .map(|i| {
+            let code = if i == 0 {
+                255
+            } else if i <= lead {
+                (i % 8) as u32
+            } else {
+                8 + (i as u32 * 37) % 248
+            };
+            let x = code as f32 / 255.0;
+            if i % 3 == 1 {
+                -x
+            } else {
+                x
+            }
+        })
+        .collect()
+}
+
+/// The fused GEMM over streams of long codes straddling 64-nibble block
+/// and `KC`-block boundaries stays bit-identical to decode-then-GEMM and
+/// the reference under every tier, at `k` = 0 and 1, odd, short of, on
+/// and past `KC`, and panel widths 1 to 16.
+#[test]
+fn long_codes_across_block_boundaries_bit_identical() {
+    for lead in [0, 1, 2, 5] {
+        for k in [0, 1, 3, KC - 1, KC, KC + 1, 2 * KC + 3] {
+            for n in [1, 7, NR, NR + 5, 2 * NR + 1] {
+                let b = straddling_weights(k, n, lead);
+                for m in [1, 5] {
+                    let a: Vec<f32> = (0..m * k).map(|i| ((i * 7) % 11) as f32 - 5.0).collect();
+                    assert_cross_engine(m, k, n, &a, &b, &format!("lead {lead} {m}x{k}x{n}"));
+                }
+            }
+        }
+    }
+}
+
+/// A row count whose code count overflows `usize` is refused, never
+/// wrapped past the bounds check into an out-of-bounds SIMD write.
+#[test]
+#[should_panic(expected = "emitter operands out of bounds")]
+fn f32_emitter_refuses_an_overflowing_row_count() {
+    let (dq, v) = (Dequant::new(1.0), GemmVariant::detect());
+    let mut dst = [0.0f32; NR];
+    let (codes, signs, rows) = ([0u8; NR], [0u8; 2], usize::MAX / 8);
+    emit_f32(v, &dq, &codes, &signs, 0, rows, NR, &mut dst);
 }

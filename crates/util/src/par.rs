@@ -33,12 +33,15 @@ pub fn thread_count() -> usize {
     })
 }
 
-/// Maps `f` over `items` on up to [`thread_count`] scoped threads,
-/// preserving input order in the output.
+/// Maps `f` over `items` on up to [`thread_count`] threads, preserving
+/// input order in the output.
 ///
 /// Items are split into contiguous chunks, one per worker; each worker maps
-/// its chunk independently. `f` must be `Sync` (shared by reference across
-/// workers) and the item/result types must cross thread boundaries.
+/// its chunk independently. The calling thread maps the first chunk itself
+/// and spawns a scoped thread for each other one, so a two-way split costs
+/// one spawn. `f` must be `Sync` (shared by reference across workers) and
+/// the item/result types must cross thread boundaries. A panic in any
+/// chunk reaches the caller with its original payload.
 ///
 /// ```
 /// use spark_util::par::par_map;
@@ -56,28 +59,36 @@ where
         return items.iter().map(f).collect();
     }
     let chunk = items.len().div_ceil(workers);
-    let mut results: Vec<Vec<R>> = Vec::with_capacity(workers);
+    let (first, rest) = items.split_at(chunk);
+    let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
+        let handles: Vec<_> = rest
             .chunks(chunk)
-            .map(|part| scope.spawn(|| part.iter().map(&f).collect::<Vec<R>>()))
+            .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<R>>()))
             .collect();
+        let mut out: Vec<R> = Vec::with_capacity(items.len());
+        out.extend(first.iter().map(f));
         for h in handles {
-            results.push(h.join().expect("par_map worker panicked"));
+            out.extend(joined(h.join()));
         }
-    });
-    results.into_iter().flatten().collect()
+        out
+    })
+}
+
+/// A scoped worker's result, or its panic resumed on the joining thread.
+fn joined<R>(result: std::thread::Result<R>) -> R {
+    result.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// Runs `f` over contiguous mutable chunks of `data` — each `chunk_len`
-/// elements, the last possibly shorter — spawning one scoped thread per
-/// chunk when more than one chunk exists. The callback receives the chunk
-/// index alongside the chunk, so workers can recover their global offset
-/// (`index * chunk_len`).
+/// elements, the last possibly shorter. The calling thread runs the first
+/// chunk and a scoped thread each other one, so a single chunk (or an
+/// empty slice) spawns nothing. The callback receives the chunk index
+/// alongside the chunk, so workers can recover their global offset
+/// (`index * chunk_len`). A panic in any chunk reaches the caller.
 ///
 /// The caller sizes the chunks: pass `data.len().div_ceil(workers)` to get
-/// one chunk per worker. A single chunk (or an empty slice) runs inline on
-/// the calling thread with no spawn.
+/// one chunk per worker.
 ///
 /// This is the mutable-output counterpart of [`par_map`], used by the
 /// tensor backend to fan a GEMM out over disjoint row blocks of the output
@@ -106,21 +117,25 @@ where
     if data.is_empty() {
         return;
     }
-    if data.len() <= chunk_len {
-        f(0, data);
-        return;
-    }
+    let (first, rest) = data.split_at_mut(chunk_len.min(data.len()));
     let f = &f;
     std::thread::scope(|scope| {
-        for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            scope.spawn(move || f(ci, chunk));
+        let handles: Vec<_> = rest
+            .chunks_mut(chunk_len)
+            .enumerate()
+            .map(|(ci, chunk)| scope.spawn(move || f(ci + 1, chunk)))
+            .collect();
+        f(0, first);
+        for h in handles {
+            joined(h.join());
         }
     });
 }
 
-/// Runs two independent closures on scoped threads and returns both
-/// results — the two-way fork-join the simulator uses to overlap its
-/// short/long differencing runs.
+/// Runs two independent closures and returns both results — the two-way
+/// fork-join the simulator uses to overlap its short/long differencing
+/// runs. The calling thread runs `a` while a scoped thread runs `b`; a
+/// panic in either reaches the caller.
 ///
 /// Falls back to sequential execution when [`thread_count`] is 1 (e.g.
 /// `SPARK_THREADS=1` for deterministic timing runs).
@@ -141,7 +156,7 @@ where
     std::thread::scope(|scope| {
         let hb = scope.spawn(b);
         let ra = a();
-        (ra, hb.join().expect("join worker panicked"))
+        (ra, joined(hb.join()))
     })
 }
 
@@ -420,6 +435,76 @@ mod tests {
         assert_eq!(v, vec![2, 3, 4]);
         let mut none: Vec<u8> = vec![];
         par_chunks_mut(&mut none, 4, |_, _| panic!("no chunks expected"));
+    }
+
+    #[test]
+    fn par_map_keeps_input_order_when_chunks_finish_out_of_order() {
+        // The caller's chunk (the first items) sleeps longest, so every
+        // spawned chunk finishes before it; the output stays in order.
+        let input: Vec<u64> = (0..16).collect();
+        let out = par_map(&input, |&x| {
+            std::thread::sleep(std::time::Duration::from_millis(16 - x));
+            x * 3
+        });
+        assert_eq!(out, input.iter().map(|&x| x * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_chunks_mut_runs_every_chunk_index_once() {
+        let mut v = vec![usize::MAX; 7];
+        par_chunks_mut(&mut v, 2, |ci, chunk| {
+            chunk.iter_mut().for_each(|x| *x = ci)
+        });
+        assert_eq!(v, vec![0, 0, 1, 1, 2, 2, 3]);
+    }
+
+    /// The panic payload `f` raised, as a string, or `None` if it returned.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> Option<String> {
+        let payload = std::panic::catch_unwind(f).err()?;
+        let text = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+        Some(text.unwrap_or_default())
+    }
+
+    #[test]
+    fn worker_panics_reach_the_caller_with_their_payload() {
+        // The last item sits in a spawned chunk whenever there are two or
+        // more workers, the first in the caller's own chunk.
+        let items: Vec<usize> = (0..8).collect();
+        for bad in [0, 7] {
+            let got = panic_message(|| {
+                par_map(&items, |&x| {
+                    if x == bad {
+                        panic!("item {x} failed")
+                    } else {
+                        x
+                    }
+                });
+            });
+            assert_eq!(got.as_deref(), Some(format!("item {bad} failed").as_str()));
+            let got = panic_message(|| {
+                let mut v = items.clone();
+                par_chunks_mut(&mut v, 2, |ci, _| {
+                    if ci == bad / 2 {
+                        panic!("chunk {ci} failed")
+                    }
+                });
+            });
+            assert_eq!(
+                got.as_deref(),
+                Some(format!("chunk {} failed", bad / 2).as_str())
+            );
+        }
+        let got = panic_message(|| {
+            join(|| 1, || -> u32 { panic!("b failed") });
+        });
+        assert_eq!(got.as_deref(), Some("b failed"));
+        let got = panic_message(|| {
+            join(|| -> u32 { panic!("a failed") }, || 2);
+        });
+        assert_eq!(got.as_deref(), Some("a failed"));
     }
 
     #[test]

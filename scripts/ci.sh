@@ -3,60 +3,57 @@
 # dependencies, see DESIGN.md "Hermetic build policy"), so every step runs
 # with --offline: a network dependency creeping into any Cargo.toml fails
 # this script at the first build.
-set -eu
+#
+# Every step runs even when an earlier one fails: a failed command or gate
+# is recorded, and the script exits non-zero at the end with the list, so
+# one red gate does not hide the state of the steps after it.
+set -u
 
-cd "$(dirname "$0")/.."
+cd "$(dirname "$0")/.." || exit 1
+
+failures=""
+# Records a failed step or gate and carries on.
+fail() {
+    echo "FAILED: $1" >&2
+    failures="$failures
+  - $1"
+}
 
 echo "==> cargo build --release --offline"
-cargo build --workspace --release --offline
+cargo build --workspace --release --offline || fail "release build"
 
 echo "==> benchmark build (outside the workspace, against spark-serve and spark-nn)"
 # benchmark/ is its own package; building it here catches an API change
 # in the crates it links that the workspace build alone would miss.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo build --release --offline --manifest-path benchmark/Cargo.toml || fail "benchmark build"
 
 echo "==> cargo test -q --offline (full suite, SPARK_SLOW_TESTS=1)"
-SPARK_SLOW_TESTS=1 cargo test -q --workspace --offline
+SPARK_SLOW_TESTS=1 cargo test -q --workspace --offline || fail "test suite"
 
 echo "==> codec decode bench -> BENCH_codec.json"
 # Full timing windows: speedup_bulk_over_fsm is a gate (the bit-parallel
 # bulk engine must hold >=3x over the scalar FSM reference under the
 # host's detected dispatch variant).
 SPARK_BENCH_JSON="$PWD/BENCH_codec.json" \
-    cargo bench --offline -p spark-bench --bench codec
-grep -Eq '"fsm_mean_ns": *[0-9]' BENCH_codec.json || {
-    echo "BENCH_codec.json missing a numeric fsm_mean_ns" >&2
-    exit 1
-}
-grep -Eq '"speedup_bulk_over_fsm": *[0-9]' BENCH_codec.json || {
-    echo "BENCH_codec.json missing a numeric speedup_bulk_over_fsm" >&2
-    exit 1
-}
+    cargo bench --offline -p spark-bench --bench codec || fail "codec bench"
+grep -Eq '"fsm_mean_ns": *[0-9]' BENCH_codec.json || fail "BENCH_codec.json missing a numeric fsm_mean_ns"
+grep -Eq '"speedup_bulk_over_fsm": *[0-9]' BENCH_codec.json || fail "BENCH_codec.json missing a numeric speedup_bulk_over_fsm"
 awk '/"speedup_bulk_over_fsm"/ {
     gsub(/[",]/, ""); if ($2 + 0 < 3.0) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_codec.json || {
-    echo "BENCH_codec.json: bulk decode is not >=3x the scalar FSM" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_codec.json || fail "BENCH_codec.json: bulk decode is not >=3x the scalar FSM"
 
 echo "==> simulator bench (quick) -> BENCH_sim.json"
 # Absolute path: cargo runs the bench with its CWD at the package root.
 SPARK_BENCH_QUICK=1 SPARK_BENCH_JSON="$PWD/BENCH_sim.json" \
-    cargo bench --offline -p spark-bench --bench simulator
-grep -Eq '"cycles_per_sec": *[0-9]' BENCH_sim.json || {
-    echo "BENCH_sim.json missing a numeric cycles_per_sec" >&2
-    exit 1
-}
+    cargo bench --offline -p spark-bench --bench simulator || fail "simulator bench"
+grep -Eq '"cycles_per_sec": *[0-9]' BENCH_sim.json || fail "BENCH_sim.json missing a numeric cycles_per_sec"
 
 echo "==> turbo GEMM bench -> BENCH_gemm.json"
 # Full timing windows (no SPARK_BENCH_QUICK): the recorded speedup is a
 # gate, and 10 ms windows are too noisy to hold it steady on shared hosts.
 SPARK_BENCH_JSON="$PWD/BENCH_gemm.json" \
-    cargo bench --offline -p spark-bench --bench gemm
-grep -Eq '"gflops": *[0-9]' BENCH_gemm.json || {
-    echo "BENCH_gemm.json missing a numeric gflops" >&2
-    exit 1
-}
+    cargo bench --offline -p spark-bench --bench gemm || fail "GEMM bench"
+grep -Eq '"gflops": *[0-9]' BENCH_gemm.json || fail "BENCH_gemm.json missing a numeric gflops"
 
 echo "==> decode-fused GEMM bench -> BENCH_fused.json"
 # Full timing windows: fused_over_decode_then and weight_bytes_ratio are
@@ -71,46 +68,29 @@ echo "==> decode-fused GEMM bench -> BENCH_fused.json"
 # the fused call takes the integer-domain path: fused_over_dense_gemm
 # must stay >=1.0 (three runs on a 2-vCPU host read 1.36-1.60) and
 # int_rel_l2, its worst per-row relative L2 error against the f32
-# oracle, <=1e-3.
+# oracle, <=1e-3. b1_decode_ns_val and b1_emit_ns_val break the batch-1
+# GEMV down into its decode and operand-emit stages (ungated).
 SPARK_BENCH_JSON="$PWD/BENCH_fused.json" \
-    cargo bench --offline -p spark-bench --bench fused
-grep -Eq '"fused_gflops": *[0-9]' BENCH_fused.json || {
-    echo "BENCH_fused.json missing a numeric fused_gflops" >&2
-    exit 1
-}
+    cargo bench --offline -p spark-bench --bench fused || fail "fused GEMM bench"
+grep -Eq '"fused_gflops": *[0-9]' BENCH_fused.json || fail "BENCH_fused.json missing a numeric fused_gflops"
 awk '/"weight_bytes_ratio"/ {
     gsub(/[",]/, ""); if ($2 + 0 > 0.55) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_fused.json || {
-    echo "BENCH_fused.json: resident encoded weights are not <=0.55x of dense f32" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_fused.json || fail "BENCH_fused.json: resident encoded weights are not <=0.55x of dense f32"
 awk '/"fused_over_decode_then"/ {
     gsub(/[",]/, ""); if ($2 + 0 < 0.8) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_fused.json || {
-    echo "BENCH_fused.json: fused GEMM is not >=0.8x of decode-then-GEMM" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_fused.json || fail "BENCH_fused.json: fused GEMM is not >=0.8x of decode-then-GEMM"
 awk '/"fused_b1_over_dense_b1"/ {
     gsub(/[",]/, ""); if ($2 + 0 < 0.9) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_fused.json || {
-    echo "BENCH_fused.json: batch-1 fused GEMV is not >=0.9x of the dense GEMV" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_fused.json || fail "BENCH_fused.json: batch-1 fused GEMV is not >=0.9x of the dense GEMV"
 awk '/"fused_over_dense_gemm"/ {
     gsub(/[",]/, ""); if ($2 + 0 < 1.0) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_fused.json || {
-    echo "BENCH_fused.json: batch-64 fused GEMM is not >=1x the dense GEMM" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_fused.json || fail "BENCH_fused.json: batch-64 fused GEMM is not >=1x the dense GEMM"
 awk '/"int_rel_l2"/ {
     gsub(/[",]/, ""); if ($2 + 0 > 0.001) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_fused.json || {
-    echo "BENCH_fused.json: integer-domain GEMM is more than 1e-3 from the f32 oracle" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_fused.json || fail "BENCH_fused.json: integer-domain GEMM is more than 1e-3 from the f32 oracle"
 
 echo "==> serve smoke (boots an ephemeral server, hits every endpoint)"
-cargo run --release --offline -p spark-cli --bin spark -- serve --smoke
+cargo run --release --offline -p spark-cli --bin spark -- serve --smoke || fail "serve smoke"
 
 echo "==> serve bench -> BENCH_serve.json"
 # Full timing windows: speedup_batched_over_unbatched is a gate. It is
@@ -119,40 +99,25 @@ echo "==> serve bench -> BENCH_serve.json"
 # the ratio of means is kept ungated as
 # speedup_batched_over_unbatched_mean.
 SPARK_BENCH_JSON="$PWD/BENCH_serve.json" \
-    cargo bench --offline -p spark-bench --bench serve
-grep -Eq '"batched_encode_rps": *[0-9]' BENCH_serve.json || {
-    echo "BENCH_serve.json missing a numeric batched_encode_rps" >&2
-    exit 1
-}
-grep -Eq '"requests_per_sec": *[0-9]' BENCH_serve.json || {
-    echo "BENCH_serve.json missing a numeric requests_per_sec" >&2
-    exit 1
-}
+    cargo bench --offline -p spark-bench --bench serve || fail "serve bench"
+grep -Eq '"batched_encode_rps": *[0-9]' BENCH_serve.json || fail "BENCH_serve.json missing a numeric batched_encode_rps"
+grep -Eq '"requests_per_sec": *[0-9]' BENCH_serve.json || fail "BENCH_serve.json missing a numeric requests_per_sec"
 awk '/"speedup_batched_over_unbatched"/ {
     gsub(/[",]/, ""); if ($2 + 0 < 2.0) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_serve.json || {
-    echo "BENCH_serve.json: batched encode is not >=2x unbatched" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_serve.json || fail "BENCH_serve.json: batched encode is not >=2x unbatched"
 # The micro-batcher is work-conserving: a lone request runs at once.
 # A batching timer (the old design waited 2 ms for company) cannot get
 # a sequential client's 4096-value encode below its window.
 awk '/"lone_encode_p50_us"/ {
     gsub(/[",]/, ""); if ($2 + 0 > 1500) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_serve.json || {
-    echo "BENCH_serve.json: lone-client encode p50 above 1500 us" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_serve.json || fail "BENCH_serve.json: lone-client encode p50 above 1500 us"
 
 echo "==> open-loop load schedules: two dumps, byte-identical"
 cargo run --release --offline -p spark-cli --bin spark -- \
-    load --smoke --schedule-only --out "$PWD/SCHEDULE_a.txt"
+    load --smoke --schedule-only --out "$PWD/SCHEDULE_a.txt" || fail "load schedule dump a"
 cargo run --release --offline -p spark-cli --bin spark -- \
-    load --smoke --schedule-only --out "$PWD/SCHEDULE_b.txt"
-cmp SCHEDULE_a.txt SCHEDULE_b.txt || {
-    echo "load schedule is not deterministic across runs" >&2
-    exit 1
-}
+    load --smoke --schedule-only --out "$PWD/SCHEDULE_b.txt" || fail "load schedule dump b"
+cmp SCHEDULE_a.txt SCHEDULE_b.txt || fail "load schedule is not deterministic across runs"
 rm -f SCHEDULE_a.txt SCHEDULE_b.txt
 
 echo "==> spark load --smoke -> BENCH_load.json (open-loop tail-latency gate)"
@@ -162,31 +127,19 @@ echo "==> spark load --smoke -> BENCH_load.json (open-loop tail-latency gate)"
 # cost-weighted quota actually shed the flood, no handler panicked, and
 # every scheduled event got an HTTP answer.
 cargo run --release --offline -p spark-cli --bin spark -- \
-    load --smoke --out "$PWD/BENCH_load.json"
+    load --smoke --out "$PWD/BENCH_load.json" || fail "spark load --smoke"
 awk '/"cold_p99_us"/ {
     gsub(/[",]/, ""); if ($2 + 0 > 150000) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_load.json || {
-    echo "BENCH_load.json: cold-tenant p99 above 150 ms under the smoke load" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_load.json || fail "BENCH_load.json: cold-tenant p99 above 150 ms under the smoke load"
 awk '/"rejected_429"/ {
     gsub(/[",]/, ""); if ($2 + 0 < 1) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_load.json || {
-    echo "BENCH_load.json: quota never shed the flooding tenant" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_load.json || fail "BENCH_load.json: quota never shed the flooding tenant"
 awk '/"transport_errors"/ {
     gsub(/[",]/, ""); if ($2 + 0 != 0) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_load.json || {
-    echo "BENCH_load.json: scheduled events lost at the transport layer" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_load.json || fail "BENCH_load.json: scheduled events lost at the transport layer"
 awk '/"panics_total"/ {
     gsub(/[",]/, ""); if ($2 + 0 != 0) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_load.json || {
-    echo "BENCH_load.json: server recorded handler panics under load" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_load.json || fail "BENCH_load.json: server recorded handler panics under load"
 
 echo "==> sharded saturation ladder -> BENCH_load_saturation.json"
 # Single-pool vs sharded under the same noisy-neighbor flood. Gate: the
@@ -195,17 +148,11 @@ echo "==> sharded saturation ladder -> BENCH_load_saturation.json"
 # tenants' p99 or delivery collapses. Typical on this host is 4x; 2x is
 # the floor with rung-granularity margin.
 SPARK_BENCH_JSON="$PWD/BENCH_load_saturation.json" \
-    cargo bench --offline -p spark-bench --bench load
-grep -Eq '"sharded_saturation_rps": *[0-9]' BENCH_load_saturation.json || {
-    echo "BENCH_load_saturation.json missing a numeric sharded_saturation_rps" >&2
-    exit 1
-}
+    cargo bench --offline -p spark-bench --bench load || fail "saturation ladder bench"
+grep -Eq '"sharded_saturation_rps": *[0-9]' BENCH_load_saturation.json || fail "BENCH_load_saturation.json missing a numeric sharded_saturation_rps"
 awk '/"saturation_ratio"/ {
     gsub(/[",]/, ""); if ($2 + 0 < 2.0) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_load_saturation.json || {
-    echo "BENCH_load_saturation.json: sharded saturation is not >=2x single-pool" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_load_saturation.json || fail "BENCH_load_saturation.json: sharded saturation is not >=2x single-pool"
 
 echo "==> blockstore: ingest frozen model, recover twice, byte-identical"
 # spark-store round trip through the CLI: persist the serving model's
@@ -215,23 +162,14 @@ echo "==> blockstore: ingest frozen model, recover twice, byte-identical"
 STORE_DIR="$PWD/target/ci-store"
 rm -rf "$STORE_DIR"
 cargo run --release --offline -p spark-cli --bin spark -- \
-    store put "$STORE_DIR" --infer-model
+    store put "$STORE_DIR" --infer-model || fail "store put"
 cargo run --release --offline -p spark-cli --bin spark -- \
-    store verify "$STORE_DIR" > STORE_VERIFY_a.json
+    store verify "$STORE_DIR" > STORE_VERIFY_a.json || fail "store verify a"
 cargo run --release --offline -p spark-cli --bin spark -- \
-    store verify "$STORE_DIR" > STORE_VERIFY_b.json
-cmp STORE_VERIFY_a.json STORE_VERIFY_b.json || {
-    echo "store recovery report is not deterministic across runs" >&2
-    exit 1
-}
-grep -Eq '"entries_verified": *2' STORE_VERIFY_a.json || {
-    echo "store verify did not checksum both model matrices" >&2
-    exit 1
-}
-grep -Eq '"torn_tail": *null' STORE_VERIFY_a.json || {
-    echo "store verify diagnosed a torn tail on a cleanly closed store" >&2
-    exit 1
-}
+    store verify "$STORE_DIR" > STORE_VERIFY_b.json || fail "store verify b"
+cmp STORE_VERIFY_a.json STORE_VERIFY_b.json || fail "store recovery report is not deterministic across runs"
+grep -Eq '"entries_verified": *2' STORE_VERIFY_a.json || fail "store verify did not checksum both model matrices"
+grep -Eq '"torn_tail": *null' STORE_VERIFY_a.json || fail "store verify diagnosed a torn tail on a cleanly closed store"
 rm -f STORE_VERIFY_a.json STORE_VERIFY_b.json
 rm -rf "$STORE_DIR"
 
@@ -240,17 +178,11 @@ echo "==> blockstore bench -> BENCH_store.json"
 # pread-ing the encoded panels back must beat re-encoding the matrix from
 # dense f32 by >=3x, or persistence isn't paying rent).
 SPARK_BENCH_JSON="$PWD/BENCH_store.json" \
-    cargo bench --offline -p spark-bench --bench store
-grep -Eq '"cold_load_mean_ns": *[0-9]' BENCH_store.json || {
-    echo "BENCH_store.json missing a numeric cold_load_mean_ns" >&2
-    exit 1
-}
+    cargo bench --offline -p spark-bench --bench store || fail "store bench"
+grep -Eq '"cold_load_mean_ns": *[0-9]' BENCH_store.json || fail "BENCH_store.json missing a numeric cold_load_mean_ns"
 awk '/"cold_load_speedup"/ {
     gsub(/[",]/, ""); if ($2 + 0 < 3.0) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_store.json || {
-    echo "BENCH_store.json: store cold-load is not >=3x re-encoding from dense" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_store.json || fail "BENCH_store.json: store cold-load is not >=3x re-encoding from dense"
 
 echo "==> fleet router kill drill -> BENCH_router.json"
 # Snapshot-provisions three backend stores from one seed store (spark
@@ -265,70 +197,47 @@ echo "==> fleet router kill drill -> BENCH_router.json"
 # (load + restart + re-admission polling) in wall-clock time.
 SPARK_BIN="$PWD/target/release/spark" timeout 180 \
     "$PWD/target/release/spark" \
-    router --bench-kill --seed 7 --out "$PWD/BENCH_router.json"
+    router --bench-kill --seed 7 --out "$PWD/BENCH_router.json" || fail "router kill drill"
 awk '/"availability"/ {
     gsub(/[",]/, ""); if ($2 + 0 < 0.99) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_router.json || {
-    echo "BENCH_router.json: fleet availability below 0.99 under kill -9" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_router.json || fail "BENCH_router.json: fleet availability below 0.99 under kill -9"
 awk '/"wrong_bodies"/ {
     gsub(/[",]/, ""); if ($2 + 0 != 0) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_router.json || {
-    echo "BENCH_router.json: byte-identity oracle saw a divergent /v1/infer body" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_router.json || fail "BENCH_router.json: byte-identity oracle saw a divergent /v1/infer body"
 awk '/"panics_total"/ {
     gsub(/[",]/, ""); if ($2 + 0 != 0) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_router.json || {
-    echo "BENCH_router.json: a router worker or backend handler panicked" >&2
-    exit 1
-}
-grep -Eq '"victim_restarted": *true' BENCH_router.json || {
-    echo "BENCH_router.json: killed backend was never restarted" >&2
-    exit 1
-}
-grep -Eq '"victim_readmitted": *true' BENCH_router.json || {
-    echo "BENCH_router.json: restarted backend never re-admitted via half-open probes" >&2
-    exit 1
-}
+} END { exit found ? 0 : 1 }' BENCH_router.json || fail "BENCH_router.json: a router worker or backend handler panicked"
+grep -Eq '"victim_restarted": *true' BENCH_router.json || fail "BENCH_router.json: killed backend was never restarted"
+grep -Eq '"victim_readmitted": *true' BENCH_router.json || fail "BENCH_router.json: restarted backend never re-admitted via half-open probes"
 
 echo "==> experiments --smoke"
-SPARK_BENCH_QUICK=1 cargo run --release --offline -p spark-bench --bin experiments -- --smoke
+SPARK_BENCH_QUICK=1 cargo run --release --offline -p spark-bench --bin experiments -- --smoke ||
+    fail "experiments --smoke"
 
 echo "==> chaos: seeded fault-injection sweep, run twice, byte-identical"
 # >=10k corrupted streams through the codec plus the hardware and serve
 # fault planes. The report must be a pure function of (seed, streams):
 # any panic, any nondeterminism, or any broken resilience contract fails
-# here (run_chaos exits nonzero on a contract violation).
+# here (run_chaos exits nonzero on a contract violation). CHAOS.json is
+# replaced only when every chaos check passed.
+failures_before_chaos="$failures"
 cargo run --release --offline -p spark-cli --bin spark -- \
-    chaos --seed 7 --streams 10000 > CHAOS_a.json
+    chaos --seed 7 --streams 10000 > CHAOS_a.json || fail "chaos run a"
 cargo run --release --offline -p spark-cli --bin spark -- \
-    chaos --seed 7 --streams 10000 > CHAOS_b.json
-cmp CHAOS_a.json CHAOS_b.json || {
-    echo "chaos report is not deterministic across runs" >&2
-    exit 1
-}
-grep -Eq '"panics": *0' CHAOS_a.json || {
-    echo "chaos sweep recorded decoder panics" >&2
-    exit 1
-}
-grep -Eq '"bulk_divergence": *0' CHAOS_a.json || {
-    echo "chaos sweep: bulk decoder diverged from the FSM on corruption" >&2
-    exit 1
-}
+    chaos --seed 7 --streams 10000 > CHAOS_b.json || fail "chaos run b"
+cmp CHAOS_a.json CHAOS_b.json || fail "chaos report is not deterministic across runs"
+grep -Eq '"panics": *0' CHAOS_a.json || fail "chaos sweep recorded decoder panics"
+grep -Eq '"bulk_divergence": *0' CHAOS_a.json || fail "chaos sweep: bulk decoder diverged from the FSM on corruption"
 # The crash plane (blockstore power-cut sweep) reports its own counters;
 # no plane anywhere in the combined report may record a panic.
 if grep -Eq '"panics": *[1-9]' CHAOS_a.json; then
-    echo "chaos sweep: a fault plane recorded panics" >&2
-    exit 1
+    fail "chaos sweep: a fault plane recorded panics"
 fi
-grep -Eq '"compaction_mismatches": *0' CHAOS_a.json || {
-    echo "chaos sweep: blockstore crash plane missing or diverged" >&2
-    exit 1
-}
-mv CHAOS_a.json CHAOS.json
-rm -f CHAOS_b.json
+grep -Eq '"compaction_mismatches": *0' CHAOS_a.json || fail "chaos sweep: blockstore crash plane missing or diverged"
+if [ "$failures" = "$failures_before_chaos" ]; then
+    mv CHAOS_a.json CHAOS.json || fail "keep CHAOS.json"
+fi
+rm -f CHAOS_a.json CHAOS_b.json
 
 echo "==> robustness grep gate (no unwrap()/panic! in serve/codec/store non-test code)"
 # Non-test code in the trust-boundary crates must use typed errors. The
@@ -341,11 +250,15 @@ violations=$(awk '
     in_tests { next }
     /^[[:space:]]*\/\// { next }
     /\.unwrap\(\)|panic!\(/ { print FILENAME ":" FNR ": " $0 }
-' crates/serve/src/*.rs crates/codec/src/*.rs crates/store/src/*.rs)
+' crates/serve/src/*.rs crates/codec/src/*.rs crates/store/src/*.rs) ||
+    fail "grep gate: awk could not scan the trust-boundary sources"
 if [ -n "$violations" ]; then
-    echo "grep gate: forbidden unwrap()/panic!() in non-test code:" >&2
     echo "$violations" >&2
-    exit 1
+    fail "grep gate: forbidden unwrap()/panic!() in non-test code"
 fi
 
+if [ -n "$failures" ]; then
+    echo "==> ci.sh FAILED:$failures" >&2
+    exit 1
+fi
 echo "==> ci.sh OK"
