@@ -76,7 +76,6 @@ fn single_pool() -> ServeConfig {
         queue_depth: 64,
         shard_queue: 32,
         quota_rps: 0.0,
-        max_batch: 16,
         ..ServeConfig::default()
     }
 }

@@ -85,6 +85,6 @@ pub use decoder::{DecodeError, SparkDecoder};
 pub use encoder::SparkEncoder;
 pub use stats::CodeStats;
 pub use stream::{
-    decode_batch, decode_stream, decode_stream_reference, encode_batch, encode_batch_with,
-    encode_tensor, encode_tensor_with, EncodePlan, EncodedTensor, NibbleStream,
+    decode_stream, decode_stream_reference, encode_tensor, encode_tensor_with, EncodePlan,
+    EncodedTensor, NibbleStream,
 };

@@ -177,7 +177,7 @@ pub fn encode_tensor_with(values: &[u8], mode: EncodeMode) -> EncodedTensor {
 }
 
 /// One byte's precomputed encoding: the packed nibbles plus its statistics
-/// contributions, so the batch encoder touches one table row per value
+/// contributions, so the tensor encoder touches one table row per value
 /// instead of re-running the gate-level encoder (twice) and the error
 /// bookkeeping per value.
 #[derive(Clone, Copy, Default)]
@@ -199,8 +199,8 @@ struct PlanEntry {
 }
 
 /// A reusable 256-entry encoding table for one [`EncodeMode`] — the one
-/// tensor encoder behind [`encode_tensor_with`], [`encode_batch_with`] and
-/// the encoded-weight panels.
+/// tensor encoder behind [`encode_tensor_with`] and the encoded-weight
+/// panels.
 ///
 /// [`EncodePlan::encode`] produces the stream and statistics a per-value
 /// `mode.encode(v)` loop would (a property the tests pin against such a
@@ -293,23 +293,6 @@ impl EncodePlan {
     }
 }
 
-/// Encodes a batch of tensors in one call under the paper's default
-/// compensated mode — the arity the serving layer's micro-batcher feeds.
-///
-/// The per-byte encoding table is shared ([`EncodePlan::cached`]) and the
-/// tensors fan out over [`spark_util::par_map`] (a no-op split on one
-/// core, a row fan-out on many). Results come back in input order, each
-/// bit-identical to what [`encode_tensor`] returns for that tensor.
-pub fn encode_batch(tensors: &[&[u8]]) -> Vec<EncodedTensor> {
-    encode_batch_with(tensors, EncodeMode::Compensated)
-}
-
-/// [`encode_batch`] under an explicit [`EncodeMode`].
-pub fn encode_batch_with(tensors: &[&[u8]], mode: EncodeMode) -> Vec<EncodedTensor> {
-    let plan = EncodePlan::cached(mode);
-    spark_util::par_map(tensors, |t| plan.encode(t))
-}
-
 /// Decodes a packed nibble stream back to code words.
 ///
 /// Dispatches to the bit-parallel bulk engine ([`crate::bulk`]) under the
@@ -343,15 +326,6 @@ pub fn decode_stream_reference(stream: &NibbleStream) -> Result<Vec<u8>, DecodeE
     }
     dec.finish()?;
     Ok(out)
-}
-
-/// Decodes a batch of streams in one call — the arity the serving
-/// layer's decode micro-batcher feeds. Streams fan out over
-/// [`spark_util::par_map`] (a no-op split on one core) and results come
-/// back in input order, each identical to a [`decode_stream`] call.
-pub fn decode_batch(streams: &[&NibbleStream]) -> Vec<Result<Vec<u8>, DecodeError>> {
-    let variant = crate::bulk::DecodeVariant::detect();
-    spark_util::par_map(streams, |s| crate::bulk::decode_bulk_with(variant, s))
 }
 
 /// Encodes values and immediately decodes them — the reconstruction the
@@ -493,30 +467,6 @@ mod tests {
         let dec = decode_stream(&enc.stream).unwrap();
         assert_eq!(dec.len(), values.len());
         assert_eq!(dec.capacity(), dec.len());
-    }
-
-    #[test]
-    fn decode_batch_matches_per_call_in_order() {
-        let tensors: Vec<Vec<u8>> = vec![
-            (0u16..=255).map(|v| v as u8).collect(),
-            vec![5u8; 31],
-            vec![],
-            vec![250u8, 1, 250, 1],
-        ];
-        let encoded: Vec<EncodedTensor> =
-            tensors.iter().map(|t| encode_tensor(t)).collect();
-        let streams: Vec<&NibbleStream> = encoded.iter().map(|e| &e.stream).collect();
-        let batch = decode_batch(&streams);
-        assert_eq!(batch.len(), streams.len());
-        for (got, enc) in batch.iter().zip(&encoded) {
-            assert_eq!(got.as_ref().unwrap(), &decode_stream(&enc.stream).unwrap());
-        }
-        // Errors stay per-stream: a truncated member fails alone.
-        let mut bad = NibbleStream::new();
-        bad.push(0b1000);
-        let mixed = decode_batch(&[&encoded[0].stream, &bad]);
-        assert!(mixed[0].is_ok());
-        assert_eq!(mixed[1], Err(DecodeError::TruncatedLongCode));
     }
 
     #[test]
@@ -713,26 +663,12 @@ mod tests {
     }
 
     #[test]
-    fn encode_batch_matches_per_call_in_order() {
-        let a: Vec<u8> = (0u16..=255).map(|v| v as u8).collect();
-        let b = vec![5u8; 31];
-        let c: Vec<u8> = vec![];
-        let d = vec![250u8, 1, 250, 1];
-        let batch = encode_batch(&[&a, &b, &c, &d]);
-        assert_eq!(batch.len(), 4);
-        for (got, values) in batch.iter().zip([&a, &b, &c, &d]) {
-            assert_eq!(got, &encode_tensor(values));
-        }
-    }
-
-    #[test]
     fn batch_decodes_round_trip() {
         let tensors: Vec<Vec<u8>> = (0..5)
             .map(|t| (0..100).map(|i| ((i * 7 + t * 13) % 256) as u8).collect())
             .collect();
-        let refs: Vec<&[u8]> = tensors.iter().map(Vec::as_slice).collect();
-        for (enc, values) in encode_batch(&refs).iter().zip(&tensors) {
-            let dec = decode_stream(&enc.stream).unwrap();
+        for values in &tensors {
+            let dec = decode_stream(&encode_tensor(values).stream).unwrap();
             let want: Vec<u8> = values.iter().map(|&v| encode_value(v).decode()).collect();
             assert_eq!(dec, want);
         }

@@ -6,10 +6,11 @@
 //! for the same input, which is what makes the loopback bit-identity
 //! tests meaningful.
 //!
-//! The functions are split along the batching seam: quantization
-//! (per-request, cheap) is separate from stream encoding (batched by the
-//! server through [`spark_codec::encode_batch`]) so the batcher can
-//! coalesce the expensive stage without reshaping responses.
+//! The encode and decode pipelines are split at the codec call:
+//! quantization and hex parsing come first, the serializers
+//! ([`encode_response`], [`decode_codes_response`]) come after it, so the
+//! server answers a bad input before the codec runs and the CLI, the
+//! server and the benchmark build their bodies from one serializer.
 
 use spark_codec::{analysis, decode_stream, EncodedTensor, NibbleStream};
 use spark_data::ModelProfile;
@@ -29,8 +30,8 @@ fn tensor_of(values: &[f32]) -> Result<Tensor, String> {
     Tensor::from_vec(values.to_vec(), &[values.len()]).map_err(|e| e.to_string())
 }
 
-/// Quantizes raw f32 values to INT8 magnitude codes — the per-request
-/// half of the encode pipeline (the stream-encoding half is batched).
+/// Quantizes raw f32 values to INT8 magnitude codes — the first half of
+/// the encode pipeline, before [`spark_codec::encode_tensor`].
 ///
 /// # Errors
 ///
@@ -86,8 +87,8 @@ pub fn encode_response(encoded: &EncodedTensor, scale: f32) -> Value {
 }
 
 /// Serializes decoded code words as the `/v1/decode` response body — the
-/// post-decode half of the decode pipeline, shared by the batched server
-/// path and the direct [`decode_response`].
+/// post-decode half of the decode pipeline, shared by the server and the
+/// direct [`decode_response`].
 pub fn decode_codes_response(codes: &[u8]) -> Value {
     Value::object([
         ("elements", Value::Num(codes.len() as f64)),
@@ -96,10 +97,9 @@ pub fn decode_codes_response(codes: &[u8]) -> Value {
 }
 
 /// Decodes a hex-dumped stream back to code words — the `/v1/decode`
-/// response body. The server splits this along the batching seam (hex
-/// parsing per-request, stream decode batched through
-/// [`spark_codec::decode_batch`]); this single-call form serves the CLI
-/// and produces byte-identical bodies.
+/// response body. The server runs the same steps with its own metrics
+/// around the codec call; this single-call form serves the CLI and
+/// produces byte-identical bodies.
 ///
 /// # Errors
 ///
@@ -165,7 +165,7 @@ pub fn resolve_accelerator(name: &str) -> Result<AcceleratorKind, String> {
         })
 }
 
-/// A fully-resolved simulation request, ready to run (or batch).
+/// A fully-resolved simulation request, ready to run.
 pub struct SimJob {
     /// The workload to simulate.
     pub workload: ModelWorkload,

@@ -1,22 +1,22 @@
-//! spark-serve — a hermetic, batched request-serving subsystem over the
+//! spark-serve — a hermetic, sharded request-serving subsystem over the
 //! SPARK codec, quantizer, and accelerator simulator.
 //!
 //! Everything is std-only: the HTTP/1.1 front end is hand-rolled on
 //! `std::net::TcpListener`, JSON goes through `spark_util::json`, and
 //! concurrency uses the in-tree bounded channel and histogram. The crate
-//! exists so the encode/analyze/simulate pipelines can be driven as a
-//! long-lived service with *batching* — concurrent requests coalesce
-//! into single `encode_batch` / `run_batch` library calls, which is
-//! where the throughput win over one-request-per-call comes from.
+//! exists so the encode/decode/analyze/simulate/infer pipelines can be
+//! driven as a long-lived, sharded service. Each request runs its whole
+//! pipeline inline on one shard worker thread: the codec works one value
+//! at a time on the operand stream, so there is nothing to gain from
+//! coalescing requests.
 //!
 //! Layout:
 //!
 //! - [`http`] — request parsing, response writing, a tiny test client.
 //! - [`io`] — streaming raw-f32 input shared with the CLI.
 //! - [`api`] — JSON schemas shared with the CLI's `--json` mode.
-//! - [`batch`] — the generic work-conserving micro-batcher.
 //! - [`load`] — the deterministic open-loop load harness.
-//! - [`metrics`] — lock-free counters and latency/batch histograms.
+//! - [`metrics`] — lock-free counters and latency histograms.
 //! - [`shard`] — consistent-hash tenant routing and token-bucket quotas.
 //! - [`server`] — acceptor, shard worker pools, routing, graceful shutdown.
 //! - [`router`] — the fleet front: circuit breakers, retry budget, and
@@ -29,7 +29,6 @@
 //! ```
 
 pub mod api;
-pub mod batch;
 pub mod http;
 pub mod io;
 pub mod load;
@@ -38,7 +37,6 @@ pub mod router;
 pub mod server;
 pub mod shard;
 
-pub use batch::Batcher;
 pub use metrics::Metrics;
 pub use router::{Router, RouterConfig};
 pub use server::{ServeConfig, Server};
@@ -72,7 +70,6 @@ pub fn smoke() -> Result<(), String> {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_depth: 16,
-        max_batch: 8,
         ..ServeConfig::default()
     })
     .map_err(|e| format!("start: {e}"))?;

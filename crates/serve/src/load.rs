@@ -933,7 +933,6 @@ mod tests {
             shard_workers: 2,
             queue_depth: 64,
             shard_queue: 32,
-            max_batch: 8,
             ..ServeConfig::default()
         })
         .unwrap();
@@ -1012,7 +1011,6 @@ mod tests {
             shard_queue: 32,
             quota_rps: 20.0,
             quota_burst: 5.0,
-            max_batch: 8,
             ..ServeConfig::default()
         })
         .unwrap();

@@ -114,7 +114,7 @@ impl ShardStats {
 }
 
 /// The server-wide registry. One instance lives in the shared server
-/// context; every worker and batcher thread records into it directly.
+/// context; every router and shard worker thread records into it directly.
 pub struct Metrics {
     /// `POST /v1/encode`.
     pub encode: EndpointStats,
@@ -143,9 +143,9 @@ pub struct Metrics {
     queue_depth: AtomicU64,
     /// High-water mark of `queue_depth`.
     queue_peak: AtomicU64,
-    /// Batched library calls issued (each covers ≥1 request).
+    /// Encode, decode and simulate library calls issued (one per request).
     pub batches: AtomicU64,
-    /// Distribution of jobs per batched call.
+    /// Distribution of requests per library call (always 1).
     pub batch_size: Histogram,
     /// End-to-end request latency in microseconds (parse → response
     /// written), recorded by workers.
@@ -231,7 +231,7 @@ impl Metrics {
         self.queue_peak.load(Ordering::Relaxed)
     }
 
-    /// Records one batched library call over `jobs` requests.
+    /// Records one library call over `jobs` requests.
     pub fn record_batch(&self, jobs: u64) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batch_size.record(jobs);
@@ -275,6 +275,7 @@ impl Metrics {
                     self.shards.iter().enumerate().map(|(i, s)| s.to_json(i)).collect(),
                 ),
             ),
+            // Kept because the repo benchmark's traced runs read it.
             (
                 "batching",
                 Value::object([

@@ -641,7 +641,6 @@ mod tests {
             shard_workers: 2,
             queue_depth: 64,
             shard_queue: 32,
-            max_batch: 8,
             ..ServeConfig::default()
         })
         .unwrap()
@@ -811,7 +810,6 @@ mod tests {
             shard_workers: 2,
             queue_depth: 64,
             shard_queue: 32,
-            max_batch: 8,
             ..ServeConfig::default()
         })
         .unwrap();

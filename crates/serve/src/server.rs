@@ -1,5 +1,5 @@
 //! The serving core: acceptor, router pool, sharded worker pools,
-//! batched endpoints, metrics, graceful shutdown.
+//! endpoints, metrics, graceful shutdown.
 //!
 //! Thread topology (all plain `std::thread`, sized at startup, no spawn
 //! per request):
@@ -10,15 +10,17 @@
 //!                                               │ control endpoints inline
 //!                                               │ tenant → token bucket → 429
 //!                                               │ ring.shard_for(tenant)
-//!                                               ├─try_send─▶ shard 0 queue ─▶ shard workers ─▶ batchers
-//!                                               ├─try_send─▶ shard 1 queue ─▶ shard workers ─▶ batchers
+//!                                               ├─try_send─▶ shard 0 queue ─▶ shard workers
+//!                                               ├─try_send─▶ shard 1 queue ─▶ shard workers
 //!                                               │ full → 503 + per-shard metric
 //! ```
 //!
 //! Requests are assigned to a *tenant* (the `X-Spark-Tenant` header, or
 //! `"default"`) and consistent-hashed onto one of `config.shards`
-//! independent shard pools, each with its own bounded queue, workers,
-//! micro-batchers, and metrics. Isolation is the point: a tenant that
+//! independent shard pools, each with its own bounded queue, workers
+//! and metrics. A shard worker runs its request's whole pipeline inline:
+//! the codec, simulator and model calls work one request at a time, so
+//! there is nothing to coalesce. Isolation is the point: a tenant that
 //! floods its shard's queue gets that shard's 503s (and, with quotas on,
 //! its own 429s before even reaching the queue) while tenants hashed to
 //! other shards keep their latency.
@@ -34,10 +36,9 @@
 //! atomic flag: `shutdown()` sets the flag and self-connects to wake
 //! `accept()`; the acceptor exits, dropping the conn queue's only
 //! sender; routers drain the conn queue and exit, dropping the shard
-//! queue senders; shard workers drain their queues and exit;
-//! [`Server::join`] then drops the shared context (closing the batcher
-//! channels) and joins the batcher threads. Every request accepted
-//! before the flag flipped gets a full response.
+//! queue senders; shard workers drain their queues and exit, and
+//! [`Server::join`] returns. Every request accepted before the flag
+//! flipped gets a full response.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,22 +47,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use spark_codec::{decode_batch, encode_batch, NibbleStream};
-use spark_sim::{run_batch, SimConfig, WorkloadReport};
+use spark_sim::{Accelerator, SimConfig};
 use spark_store::{BlockStore, StoreError};
 use spark_util::json::Value;
 use spark_util::par::{Receiver, Sender, TrySendError};
 
-use crate::api::{self, SimJob};
-use crate::batch::Batcher;
+use crate::api;
 use crate::http::{self, HttpError, Request};
 use crate::io::f32_from_bytes;
 use crate::metrics::{EndpointStats, Metrics};
 use crate::shard::{validate_tenant, TenantState, Tenants, DEFAULT_TENANT};
-
-/// How long a worker waits on a batcher slot before answering 500. Far
-/// above any sane batch time; only reachable if a batcher thread died.
-const SLOT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -84,8 +79,6 @@ pub struct ServeConfig {
     pub quota_rps: f64,
     /// Per-tenant banked cost units on top of `quota_rps`.
     pub quota_burst: f64,
-    /// Max requests coalesced into one batched library call.
-    pub max_batch: usize,
     /// Request body cap in bytes.
     pub max_body_bytes: usize,
     /// Overall wall-clock budget for reading one request (slowloris
@@ -113,21 +106,12 @@ impl Default for ServeConfig {
             shard_queue: 32,
             quota_rps: 0.0,
             quota_burst: 16.0,
-            max_batch: 32,
             max_body_bytes: 16 * 1024 * 1024,
             request_deadline: http::REQUEST_DEADLINE,
             chaos_endpoints: false,
             store_dir: None,
         }
     }
-}
-
-/// One shard pool's private machinery: its batchers. Shards share
-/// nothing here — a wedged batcher stays that shard's problem.
-struct ShardCtx {
-    encode_batcher: Batcher<(Vec<u8>, f32), Value>,
-    decode_batcher: Batcher<NibbleStream, Result<Value, String>>,
-    sim_batcher: Batcher<SimJob, Value>,
 }
 
 /// Shared state every router and shard worker holds an `Arc` of.
@@ -139,7 +123,8 @@ struct Ctx {
     max_body: usize,
     deadline: Duration,
     chaos: bool,
-    shards: Vec<ShardCtx>,
+    /// Number of shard pools.
+    shards: usize,
     /// The `/v1/infer` model, weights resident as SPARK nibble streams.
     /// One immutable copy serves every shard worker without a lock.
     infer: api::InferModel,
@@ -179,18 +164,11 @@ pub struct Server {
     routers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
     shard_pools: Arc<Mutex<Vec<Vec<Option<JoinHandle<()>>>>>>,
     supervisor: JoinHandle<()>,
-    /// Clones kept solely so `join()` can reap the batcher threads after
-    /// the last in-`Ctx` handles drop.
-    batcher_handles: Vec<(
-        Batcher<(Vec<u8>, f32), Value>,
-        Batcher<NibbleStream, Result<Value, String>>,
-        Batcher<SimJob, Value>,
-    )>,
 }
 
 impl Server {
-    /// Binds, spawns the acceptor, routers, shard pools, supervisor, and
-    /// batchers, and returns.
+    /// Binds, spawns the acceptor, routers, shard pools and supervisor,
+    /// and returns.
     ///
     /// # Errors
     ///
@@ -200,7 +178,6 @@ impl Server {
         let addr = listener.local_addr()?;
         let shard_count = config.shards.max(1);
         let metrics = Arc::new(Metrics::with_shards(shard_count));
-        let sim_config = SimConfig::default();
 
         // Optional persistent tensor store: recovered before any shard
         // spins up so the cold-start model load (below) and the first
@@ -244,79 +221,6 @@ impl Server {
         }
         .map_err(std::io::Error::other)?;
 
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut batcher_handles = Vec::with_capacity(shard_count);
-        for id in 0..shard_count {
-            let batch_queue = config.shard_queue.max(config.max_batch).max(1);
-            let encode_batcher = {
-                let metrics = Arc::clone(&metrics);
-                Batcher::spawn(
-                    &format!("encode-{id}"),
-                    config.max_batch,
-                    batch_queue,
-                    move |jobs: Vec<(Vec<u8>, f32)>| {
-                        metrics.record_batch(jobs.len() as u64);
-                        let refs: Vec<&[u8]> = jobs.iter().map(|(c, _)| c.as_slice()).collect();
-                        let encoded = encode_batch(&refs);
-                        encoded
-                            .iter()
-                            .zip(&jobs)
-                            .map(|(e, (_, scale))| api::encode_response(e, *scale))
-                            .collect()
-                    },
-                )?
-            };
-            let decode_batcher = {
-                let metrics = Arc::clone(&metrics);
-                Batcher::spawn(
-                    &format!("decode-{id}"),
-                    config.max_batch,
-                    batch_queue,
-                    move |jobs: Vec<NibbleStream>| {
-                        metrics.record_batch(jobs.len() as u64);
-                        let refs: Vec<&NibbleStream> = jobs.iter().collect();
-                        decode_batch(&refs)
-                            .into_iter()
-                            .map(|r| {
-                                r.map(|codes| api::decode_codes_response(&codes))
-                                    .map_err(|e| e.to_string())
-                            })
-                            .collect()
-                    },
-                )?
-            };
-            let sim_batcher = {
-                let metrics = Arc::clone(&metrics);
-                let sim_config = sim_config.clone();
-                Batcher::spawn(
-                    &format!("simulate-{id}"),
-                    config.max_batch,
-                    batch_queue,
-                    move |jobs: Vec<SimJob>| {
-                        metrics.record_batch(jobs.len() as u64);
-                        let tuples: Vec<_> =
-                            jobs.iter().map(|j| (j.kind, &j.workload, &j.precision)).collect();
-                        let reports: Vec<WorkloadReport> = run_batch(&tuples, &sim_config);
-                        reports
-                            .iter()
-                            .zip(&jobs)
-                            .map(|(r, j)| api::simulate_response(r, &j.workload, &sim_config))
-                            .collect()
-                    },
-                )?
-            };
-            batcher_handles.push((
-                encode_batcher.clone(),
-                decode_batcher.clone(),
-                sim_batcher.clone(),
-            ));
-            shards.push(ShardCtx {
-                encode_batcher,
-                decode_batcher,
-                sim_batcher,
-            });
-        }
-
         let ctx = Arc::new(Ctx {
             metrics: Arc::clone(&metrics),
             tenants: Tenants::new(shard_count, config.quota_rps, config.quota_burst),
@@ -325,7 +229,7 @@ impl Server {
             max_body: config.max_body_bytes,
             deadline: config.request_deadline,
             chaos: config.chaos_endpoints,
-            shards,
+            shards: shard_count,
             infer,
             store,
         });
@@ -385,7 +289,7 @@ impl Server {
             std::thread::Builder::new()
                 .name("spark-supervisor".into())
                 .spawn(move || {
-                    let mut next_id = router_count + ctx.shards.len();
+                    let mut next_id = router_count + ctx.shards;
                     while !ctx.shutdown.load(Ordering::SeqCst) {
                         std::thread::sleep(Duration::from_millis(25));
                         if ctx.shutdown.load(Ordering::SeqCst) {
@@ -501,7 +405,6 @@ impl Server {
             routers,
             shard_pools,
             supervisor,
-            batcher_handles,
         })
     }
 
@@ -522,19 +425,11 @@ impl Server {
     }
 
     /// Waits for the full drain cascade: acceptor, then routers, then
-    /// shard workers, then batchers. Blocks until a shutdown has been
+    /// shard workers. Blocks until a shutdown has been
     /// requested (via [`Server::shutdown`] or `POST /shutdown`) and every
     /// accepted request has been answered.
     pub fn join(self) {
-        let Server {
-            ctx,
-            acceptor,
-            routers,
-            shard_pools,
-            supervisor,
-            batcher_handles,
-            ..
-        } = self;
+        let Server { acceptor, routers, shard_pools, supervisor, .. } = self;
         acceptor.join().ok();
         // The acceptor only exits with the shutdown flag set, so the
         // supervisor's next poll tick sees it and returns — releasing its
@@ -550,15 +445,6 @@ impl Server {
             std::mem::take(&mut *shard_pools.lock().unwrap_or_else(|e| e.into_inner()));
         for w in pools.into_iter().flatten().flatten() {
             w.join().ok();
-        }
-        // Shard workers are gone; this Arc (holding every ShardCtx) and
-        // the handles below are the last senders keeping the batcher
-        // channels open.
-        drop(ctx);
-        for (e, d, s) in batcher_handles {
-            e.join();
-            d.join();
-            s.join();
         }
     }
 }
@@ -789,7 +675,7 @@ fn control_route<'a>(ctx: &'a Ctx, req: &Request) -> Option<Routed<'a>> {
                 &m.control,
                 Value::object([
                     ("status", Value::Str(status.into())),
-                    ("shards", Value::Num(ctx.shards.len() as f64)),
+                    ("shards", Value::Num(ctx.shards as f64)),
                 ]),
             ))
         }
@@ -852,7 +738,7 @@ fn handle_job(ctx: &Ctx, shard_id: usize, job: ShardJob) -> JobOutcome {
         );
         outcome = JobOutcome::ExitWorker;
     } else {
-        match catch_unwind(AssertUnwindSafe(|| route(ctx, shard_id, &req))) {
+        match catch_unwind(AssertUnwindSafe(|| route(ctx, &req))) {
             Ok(routed) => {
                 routed.stats.hit();
                 if routed.status >= 400 {
@@ -913,17 +799,8 @@ struct Routed<'a> {
     raw: Option<Vec<u8>>,
 }
 
-fn route<'a>(ctx: &'a Ctx, shard_id: usize, req: &Request) -> Routed<'a> {
+fn route<'a>(ctx: &'a Ctx, req: &Request) -> Routed<'a> {
     let m = &ctx.metrics;
-    let Some(shard) = ctx.shards.get(shard_id) else {
-        return Routed {
-            status: 500,
-            reason: "Internal Server Error",
-            body: error_body("shard context missing"),
-            stats: &m.unrouted,
-            raw: None,
-        };
-    };
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/__chaos/panic") if ctx.chaos => {
             // Deliberate unwind through the handler stack; the worker's
@@ -933,7 +810,7 @@ fn route<'a>(ctx: &'a Ctx, shard_id: usize, req: &Request) -> Routed<'a> {
             std::panic::panic_any("chaos: injected handler panic")
         }
         ("POST", "/v1/encode") => match parse_values(req) {
-            Ok(values) => encode_endpoint(ctx, shard, &values),
+            Ok(values) => encode_endpoint(ctx, &values),
             Err(msg) => bad_request(&m.encode, &msg),
         },
         ("POST", "/v1/analyze") => match parse_values(req) {
@@ -944,10 +821,10 @@ fn route<'a>(ctx: &'a Ctx, shard_id: usize, req: &Request) -> Routed<'a> {
             Err(msg) => bad_request(&m.analyze, &msg),
         },
         ("POST", "/v1/decode") => match decode_input(req) {
-            Ok(hex) => decode_endpoint(ctx, shard, &hex),
+            Ok(hex) => decode_endpoint(ctx, &hex),
             Err(msg) => bad_request(&m.decode, &msg),
         },
-        ("POST", "/v1/simulate") => simulate_endpoint(ctx, shard, req),
+        ("POST", "/v1/simulate") => simulate_endpoint(ctx, req),
         ("POST", "/v1/infer") => match parse_values(req) {
             Ok(values) => infer_endpoint(ctx, &values),
             Err(msg) => bad_request(&m.infer, &msg),
@@ -1107,16 +984,6 @@ fn tensors_endpoint<'a>(ctx: &'a Ctx, req: &Request) -> Routed<'a> {
     }
 }
 
-fn batcher_gone(stats: &EndpointStats) -> Routed<'_> {
-    Routed {
-        status: 500,
-        reason: "Internal Server Error",
-        body: error_body("batch pipeline unavailable"),
-        stats,
-        raw: None,
-    }
-}
-
 /// Pulls f32 values out of either a raw octet-stream body or a JSON
 /// `{"values": [...]}` body, by Content-Type.
 fn parse_values(req: &Request) -> Result<Vec<f32>, String> {
@@ -1143,41 +1010,32 @@ fn decode_input(req: &Request) -> Result<String, String> {
     Ok(text.trim().to_string())
 }
 
-fn encode_endpoint<'a>(ctx: &'a Ctx, shard: &ShardCtx, values: &[f32]) -> Routed<'a> {
+// Each encode, decode and simulate library call records itself as a
+// batch of one (`Metrics::record_batch`), whether it succeeds or fails.
+
+fn encode_endpoint<'a>(ctx: &'a Ctx, values: &[f32]) -> Routed<'a> {
     let stats = &ctx.metrics.encode;
     let codes = match api::quantize_codes(values) {
         Ok(c) => c,
         Err(msg) => return bad_request(stats, &msg),
     };
-    let scale = codes.scale;
-    let Some(slot) = shard.encode_batcher.submit((codes.codes, scale)) else {
-        return batcher_gone(stats);
-    };
-    match slot.wait_timeout(SLOT_TIMEOUT) {
-        Some(body) => ok(stats, body),
-        None => batcher_gone(stats),
-    }
+    ctx.metrics.record_batch(1);
+    let encoded = spark_codec::encode_tensor(&codes.codes);
+    ok(stats, api::encode_response(&encoded, codes.scale))
 }
 
-/// `/v1/decode` split along the batching seam like encode: hex parsing
-/// happens per-request (cheap, per-connection), the stream decode itself
-/// is coalesced through the shard's decode batcher into one
-/// [`spark_codec::decode_batch`] call over the bulk engine. A malformed
-/// stream (truncated long code) comes back as this request's own 400
-/// without affecting batchmates.
-fn decode_endpoint<'a>(ctx: &'a Ctx, shard: &ShardCtx, hex: &str) -> Routed<'a> {
+/// `/v1/decode`: a hex-parse error is this request's 400 before the codec
+/// runs; a malformed stream (truncated long code) is a 400 from the codec.
+fn decode_endpoint<'a>(ctx: &'a Ctx, hex: &str) -> Routed<'a> {
     let stats = &ctx.metrics.decode;
     let stream = match api::stream_from_hex(hex) {
         Ok(s) => s,
         Err(msg) => return bad_request(stats, &msg),
     };
-    let Some(slot) = shard.decode_batcher.submit(stream) else {
-        return batcher_gone(stats);
-    };
-    match slot.wait_timeout(SLOT_TIMEOUT) {
-        Some(Ok(body)) => ok(stats, body),
-        Some(Err(msg)) => bad_request(stats, &msg),
-        None => batcher_gone(stats),
+    ctx.metrics.record_batch(1);
+    match spark_codec::decode_stream(&stream) {
+        Ok(codes) => ok(stats, api::decode_codes_response(&codes)),
+        Err(e) => bad_request(stats, &e.to_string()),
     }
 }
 
@@ -1189,7 +1047,7 @@ fn infer_endpoint<'a>(ctx: &'a Ctx, values: &[f32]) -> Routed<'a> {
     }
 }
 
-fn simulate_endpoint<'a>(ctx: &'a Ctx, shard: &ShardCtx, req: &Request) -> Routed<'a> {
+fn simulate_endpoint<'a>(ctx: &'a Ctx, req: &Request) -> Routed<'a> {
     let stats = &ctx.metrics.simulate;
     let parsed = std::str::from_utf8(&req.body)
         .map_err(|_| "body is not UTF-8".to_string())
@@ -1206,13 +1064,10 @@ fn simulate_endpoint<'a>(ctx: &'a Ctx, shard: &ShardCtx, req: &Request) -> Route
         Ok(j) => j,
         Err(msg) => return bad_request(stats, &msg),
     };
-    let Some(slot) = shard.sim_batcher.submit(job) else {
-        return batcher_gone(stats);
-    };
-    match slot.wait_timeout(SLOT_TIMEOUT) {
-        Some(body) => ok(stats, body),
-        None => batcher_gone(stats),
-    }
+    ctx.metrics.record_batch(1);
+    let config = SimConfig::default();
+    let report = Accelerator::new(job.kind).run(&job.workload, &job.precision, &config);
+    ok(stats, api::simulate_response(&report, &job.workload, &config))
 }
 
 #[cfg(test)]
@@ -1226,7 +1081,6 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue_depth: 16,
-            max_batch: 8,
             ..ServeConfig::default()
         })
         .unwrap()
@@ -1284,7 +1138,6 @@ mod tests {
             workers: 2,
             shards: 2,
             queue_depth: 16,
-            max_batch: 8,
             ..ServeConfig::default()
         })
         .unwrap();
@@ -1517,7 +1370,6 @@ mod tests {
             shards: 3,
             shard_workers: 1,
             queue_depth: 16,
-            max_batch: 8,
             ..ServeConfig::default()
         })
         .unwrap();
@@ -1582,7 +1434,6 @@ mod tests {
             queue_depth: 16,
             quota_rps: 2.0,
             quota_burst: 3.0,
-            max_batch: 8,
             ..ServeConfig::default()
         })
         .unwrap();
@@ -1655,7 +1506,6 @@ mod tests {
             shards: 4,
             shard_workers: 1,
             queue_depth: 32,
-            max_batch: 8,
             ..ServeConfig::default()
         })
         .unwrap();

@@ -3,7 +3,7 @@
 //!
 //! The three properties the serving layer must never lose:
 //!
-//! 1. **Bit identity** — a batched server response is byte-for-byte what
+//! 1. **Bit identity** — a server response is byte-for-byte what
 //!    the direct library call produces for the same input.
 //! 2. **Accounting** — every request shows up in `/metrics`; nothing is
 //!    double- or under-counted, concurrency notwithstanding.
@@ -25,7 +25,6 @@ fn start(workers: usize, queue_depth: usize) -> Server {
         addr: "127.0.0.1:0".into(),
         workers,
         queue_depth,
-        max_batch: 16,
         ..ServeConfig::default()
     })
     .unwrap()
@@ -39,8 +38,8 @@ fn raw_bytes(values: &[f32]) -> Vec<u8> {
     values.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
-/// The reference body for `/v1/encode`: the direct, unbatched library
-/// pipeline run through the same serializer.
+/// The reference body for `/v1/encode`: the direct library pipeline run
+/// through the same serializer.
 fn reference_encode_body(values: &[f32]) -> String {
     let codes = api::quantize_codes(values).unwrap();
     let encoded = encode_tensor(&codes.codes);
@@ -73,7 +72,7 @@ fn concurrent_clients_get_bit_identical_batched_responses() {
                     assert_eq!(
                         got,
                         reference_encode_body(&values),
-                        "client {c} request {r}: batched response diverged from library"
+                        "client {c} request {r}: server response diverged from library"
                     );
                 }
             })
@@ -83,8 +82,8 @@ fn concurrent_clients_get_bit_identical_batched_responses() {
         h.join().unwrap();
     }
 
-    // Accounting: every request counted, all encodes flowed through
-    // batches whose sizes sum to the request count.
+    // Accounting: every request counted, and every encode is one
+    // library call, recorded as a batch of one.
     let (status, body) = client_request(&addr, "GET", "/metrics", "", b"").unwrap();
     assert_eq!(status, 200);
     let m = parse(std::str::from_utf8(&body).unwrap()).unwrap();
@@ -94,11 +93,10 @@ fn concurrent_clients_get_bit_identical_batched_responses() {
     assert_eq!(encode.get("errors").unwrap().as_f64(), Some(0.0));
     let batching = m.get("batching").unwrap();
     let batches = batching.get("batches").unwrap().as_f64().unwrap();
-    assert!(batches >= 1.0 && batches <= total);
-    assert_eq!(
-        batching.get("batch_size").unwrap().get("count").unwrap().as_f64(),
-        Some(batches)
-    );
+    assert_eq!(batches, total);
+    let batch_size = batching.get("batch_size").unwrap();
+    assert_eq!(batch_size.get("count").unwrap().as_f64(), Some(total));
+    assert_eq!(batch_size.get("max").unwrap().as_f64(), Some(1.0));
     // accepted = all encodes, plus possibly this in-flight /metrics
     // request (its own accept tick races with the snapshot).
     let accepted = m.get("queue").unwrap().get("accepted").unwrap().as_f64().unwrap();
@@ -146,10 +144,9 @@ fn decode_round_trip_matches_library_decode() {
 
 #[test]
 fn concurrent_decodes_batch_and_stay_bit_identical() {
-    // Decode rides the micro-batcher like encode: concurrent requests
-    // coalesce into decode_batch calls, each response byte-identical to
-    // the direct library pipeline, and a malformed stream in the mix
-    // fails alone with its own 400.
+    // Concurrent decodes each run on a shard worker, each response
+    // byte-identical to the direct library pipeline, and a malformed
+    // stream in the mix fails alone with its own 400.
     let server = start(4, 64);
     let addr = server.addr().to_string();
 
@@ -174,7 +171,7 @@ fn concurrent_decodes_batch_and_stay_bit_identical() {
                 assert_eq!(
                     String::from_utf8(body).unwrap(),
                     api::decode_response(&hex).unwrap().to_string_compact(),
-                    "client {c}: batched decode diverged from library"
+                    "client {c}: server decode diverged from library"
                 );
             })
         })
@@ -184,7 +181,7 @@ fn concurrent_decodes_batch_and_stay_bit_identical() {
     }
 
     // A truncated long code (lone prev nibble "8") is this request's own
-    // 400, reported through the batch path with the typed error message.
+    // 400, reported by the codec with the typed error message.
     let (status, body) = client_request(
         &addr,
         "POST",
@@ -196,15 +193,29 @@ fn concurrent_decodes_batch_and_stay_bit_identical() {
     assert_eq!(status, 400);
     assert!(String::from_utf8(body).unwrap().contains("long code"));
 
-    // Accounting: all decode requests counted, exactly one error.
+    // Bad hex is a 400 before the codec runs.
+    let (status, body) = client_request(
+        &addr,
+        "POST",
+        "/v1/decode",
+        "application/json",
+        b"{\"stream_hex\": \"zz\"}",
+    )
+    .unwrap();
+    assert_eq!(status, 400);
+    assert!(String::from_utf8(body).unwrap().contains("invalid hex digit"));
+
+    // Accounting: all decode requests counted, two errors; the malformed
+    // stream reached the codec and counts as a library call, the bad hex
+    // did not.
     let (status, body) = client_request(&addr, "GET", "/metrics", "", b"").unwrap();
     assert_eq!(status, 200);
     let m = parse(std::str::from_utf8(&body).unwrap()).unwrap();
     let decode = m.get("endpoints").unwrap().get("decode").unwrap();
-    assert_eq!(decode.get("hits").unwrap().as_f64(), Some((CLIENTS + 1) as f64));
-    assert_eq!(decode.get("errors").unwrap().as_f64(), Some(1.0));
+    assert_eq!(decode.get("hits").unwrap().as_f64(), Some((CLIENTS + 2) as f64));
+    assert_eq!(decode.get("errors").unwrap().as_f64(), Some(2.0));
     let batches = m.get("batching").unwrap().get("batches").unwrap().as_f64().unwrap();
-    assert!(batches >= 1.0, "decode requests never hit the batcher");
+    assert_eq!(batches, (CLIENTS + 1) as f64);
 
     server.shutdown();
     server.join();

@@ -246,20 +246,6 @@ impl Accelerator {
     }
 }
 
-/// Runs a batch of `(accelerator, workload, profile)` jobs through the
-/// performance model in one call — the arity the serving layer's
-/// micro-batcher coalesces concurrent `/v1/simulate` requests into. Jobs
-/// fan out over [`spark_util::par_map`] and results come back in input
-/// order, each identical to the corresponding [`Accelerator::run`] call.
-pub fn run_batch(
-    jobs: &[(AcceleratorKind, &ModelWorkload, &PrecisionProfile)],
-    config: &SimConfig,
-) -> Vec<WorkloadReport> {
-    spark_util::par_map(jobs, |(kind, workload, profile)| {
-        Accelerator::new(*kind).run(workload, profile, config)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,24 +285,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 8);
-    }
-
-    #[test]
-    fn run_batch_matches_individual_runs_in_order() {
-        let workload = ModelWorkload::by_name("ResNet18").expect("known model");
-        let profile = PrecisionProfile::from_short_fractions(0.6, 0.4);
-        let config = SimConfig::default();
-        let jobs = [
-            (AcceleratorKind::Spark, &workload, &profile),
-            (AcceleratorKind::Eyeriss, &workload, &profile),
-            (AcceleratorKind::Spark, &workload, &profile),
-        ];
-        let batch = run_batch(&jobs, &config);
-        assert_eq!(batch.len(), 3);
-        for ((kind, w, p), got) in jobs.iter().zip(&batch) {
-            let want = Accelerator::new(*kind).run(w, p, &config);
-            assert_eq!(got, &want);
-        }
     }
 
     #[test]

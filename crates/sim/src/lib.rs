@@ -54,7 +54,7 @@ pub mod pe;
 pub mod perf;
 pub mod systolic;
 
-pub use arch::{run_batch, Accelerator, AcceleratorKind};
+pub use arch::{Accelerator, AcceleratorKind};
 pub use cost::{mac_cycles, OperandKind, TileCosts};
 pub use bandwidth::{analyze as analyze_bandwidth, BandwidthReport};
 pub use buffer::{plan_workload, BufferConfig, BufferReport, TilePlan};

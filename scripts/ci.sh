@@ -93,21 +93,28 @@ echo "==> serve smoke (boots an ephemeral server, hits every endpoint)"
 cargo run --release --offline -p spark-cli --bin spark -- serve --smoke || fail "serve smoke"
 
 echo "==> serve bench -> BENCH_serve.json"
-# Full timing windows: speedup_batched_over_unbatched is a gate. It is
-# encode_batch over encode_tensor run once per payload, each side's best
-# batch mean (best_ns), which a stall on a shared host does not inflate;
-# the ratio of means is kept ungated as
-# speedup_batched_over_unbatched_mean.
+# Full timing windows. requests_per_sec is the 8-client /v1/encode rate
+# of a live loopback server; it is gated against the committed
+# BENCH_serve.json, read before the bench overwrites it: a fresh rate
+# below 0.4x of the committed one fails. On a 2-vCPU host seven runs
+# read 7800-15400 req/s, so the bound catches a collapse, not noise. The 8-client p99 is recorded but not gated: with up to four
+# shard workers encoding at once on two vCPUs it swings several-fold.
+committed_rps=$(git show HEAD:BENCH_serve.json 2>/dev/null | awk '/"requests_per_sec"/ {
+    gsub(/[",]/, ""); print $2 + 0; exit
+}')
+[ -n "$committed_rps" ] || fail "BENCH_serve.json: no committed requests_per_sec to gate against"
 SPARK_BENCH_JSON="$PWD/BENCH_serve.json" \
     cargo bench --offline -p spark-bench --bench serve || fail "serve bench"
-grep -Eq '"batched_encode_rps": *[0-9]' BENCH_serve.json || fail "BENCH_serve.json missing a numeric batched_encode_rps"
 grep -Eq '"requests_per_sec": *[0-9]' BENCH_serve.json || fail "BENCH_serve.json missing a numeric requests_per_sec"
-awk '/"speedup_batched_over_unbatched"/ {
-    gsub(/[",]/, ""); if ($2 + 0 < 2.0) { exit 1 } else { found = 1 }
-} END { exit found ? 0 : 1 }' BENCH_serve.json || fail "BENCH_serve.json: batched encode is not >=2x unbatched"
-# The micro-batcher is work-conserving: a lone request runs at once.
-# A batching timer (the old design waited 2 ms for company) cannot get
-# a sequential client's 4096-value encode below its window.
+if [ -n "$committed_rps" ]; then
+    awk -v base="$committed_rps" '/"requests_per_sec"/ {
+        gsub(/[",]/, ""); if ($2 + 0 < 0.4 * base) { exit 1 } else { found = 1 }
+    } END { exit found ? 0 : 1 }' BENCH_serve.json ||
+        fail "BENCH_serve.json: 8-client requests_per_sec below 0.4x of the committed $committed_rps"
+fi
+# A lone request runs at once on an idle shard worker; nothing waits for
+# company, so a sequential client's 4096-value encode stays far below a
+# millisecond and a half.
 awk '/"lone_encode_p50_us"/ {
     gsub(/[",]/, ""); if ($2 + 0 > 1500) { exit 1 } else { found = 1 }
 } END { exit found ? 0 : 1 }' BENCH_serve.json || fail "BENCH_serve.json: lone-client encode p50 above 1500 us"
