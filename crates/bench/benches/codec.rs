@@ -13,7 +13,7 @@
 
 use spark_codec::{
     decode_bulk_with, decode_stream, decode_stream_reference, encode_tensor, encode_value,
-    DecodeVariant, SparkDecoder, SparkEncoder,
+    CodecVariant, SparkDecoder, SparkEncoder,
 };
 use spark_util::bench::{bench_throughput, black_box};
 use spark_util::Value;
@@ -99,7 +99,7 @@ fn bench_bulk_decode() {
     let elems = values.len() as u64;
 
     let want = decode_stream_reference(stream).expect("reference decode");
-    for variant in DecodeVariant::all() {
+    for variant in CodecVariant::all() {
         let got = decode_bulk_with(variant, stream).expect("bulk decode");
         assert_eq!(got, want, "bulk {} diverged from the FSM", variant.name());
     }
@@ -109,7 +109,7 @@ fn bench_bulk_decode() {
     });
 
     let mut per_variant = Vec::new();
-    for variant in DecodeVariant::all() {
+    for variant in CodecVariant::all() {
         let r = bench_throughput(
             &format!("codec/decode/bulk_{}_1m", variant.name()),
             elems,
@@ -120,7 +120,7 @@ fn bench_bulk_decode() {
         per_variant.push((variant, r));
     }
 
-    let detected = DecodeVariant::detect();
+    let detected = CodecVariant::detect();
     let detected_result = per_variant
         .iter()
         .find(|(v, _)| *v == detected)

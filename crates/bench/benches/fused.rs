@@ -31,7 +31,17 @@
 //! `KC`-deep block at a time through a [`BulkCursor`] into a fixed buffer,
 //! and `b1_emit_ns_val` turns those codes into the `f32` operand panels
 //! with the detected tier's emitter. The rest of `fused_b1_best_ns` is
-//! the MAC and the fan-out.
+//! the MAC and the fan-out. That weight is uniform in [-1, 1), which
+//! encodes to almost all long codes (~2 nibbles per value); the served
+//! weights are BERT-profile (`ModelProfile::bert()`, ~1.2 nibbles per
+//! value), so `b1_decode_ns_val_bert` / `b1_emit_ns_val_bert` time the
+//! same stages over a BERT-profile 768x3072 weight.
+//!
+//! - `encode_ns_val` — the whole [`EncodedMatrix::encode`] of that
+//!   BERT-profile weight (finite check and abs-max, quantize, pack,
+//!   containers with their checksums, on every thread it fans out to),
+//!   best batch mean per value. `scripts/ci.sh` gates it below 8 ns and
+//!   at most twice the committed value.
 //!
 //! Before any timing, the `f32` oracle must equal decode-then-turbo and the
 //! scalar reference to the bit, and the auto path must be within the error
@@ -40,7 +50,8 @@
 //! `SPARK_BENCH_QUICK=1` shrinks iteration counts.
 
 use spark_codec::bulk::FILL_SLACK;
-use spark_codec::{container, BulkCursor, DecodeVariant};
+use spark_codec::{container, BulkCursor, CodecVariant};
+use spark_data::ModelProfile;
 use spark_tensor::emit::{emit_f32, Dequant};
 use spark_tensor::gemm::{gemm_encoded_with, Epilogue, GemmVariant, KC, NR};
 use spark_tensor::{ops, EncodedMatrix, Tensor};
@@ -85,7 +96,7 @@ fn panel_payloads(em: &EncodedMatrix) -> Vec<(&[u8], usize)> {
 /// Bulk-decodes every panel of `em` one `KC`-deep block at a time into a
 /// fixed buffer, the fused GEMM's decode stage alone.
 fn decode_stage(em: &EncodedMatrix, payloads: &[(&[u8], usize)], buf: &mut [u8]) {
-    let variant = DecodeVariant::detect();
+    let variant = CodecVariant::detect();
     for (p, &(payload, nibbles)) in payloads.iter().enumerate() {
         let block = KC * em.panel_width(p);
         let mut cursor = BulkCursor::new(variant, payload, nibbles);
@@ -110,6 +121,28 @@ fn emit_stage(em: &EncodedMatrix, codes: &[Vec<u8>], dq: &Dequant, dst: &mut [f3
             black_box(out);
         }
     }
+}
+
+/// Times the decode and the `f32` emit stage over every panel of `em`,
+/// each alone on one thread, and returns their best batch means per value.
+fn stage_ns_val(label: &str, em: &EncodedMatrix) -> (f64, f64) {
+    let shape = format!("{label}/{}x{}", em.k(), em.n());
+    let payloads = panel_payloads(em);
+    let mut code_buf = vec![0u8; KC * NR + FILL_SLACK];
+    let r_decode = bench(&format!("fused/stage_decode/{shape}"), || {
+        decode_stage(em, &payloads, &mut code_buf);
+    });
+    let panel_codes: Vec<Vec<u8>> = payloads
+        .iter()
+        .map(|&(payload, nibbles)| spark_codec::decode_payload(payload, nibbles).expect("valid"))
+        .collect();
+    let dq = Dequant::new(em.profile().step());
+    let mut operand = vec![0.0f32; KC * NR];
+    let r_emit = bench(&format!("fused/stage_emit_f32/{shape}"), || {
+        emit_stage(em, &panel_codes, &dq, &mut operand);
+    });
+    let values = (em.k() * em.n()) as f64;
+    (r_decode.best_ns / values, r_emit.best_ns / values)
 }
 
 /// Worst per-row relative L2 error of `got` against `want` (rows of `n`).
@@ -213,24 +246,19 @@ fn main() {
         black_box(ops::matmul(&a1, &reconstructed1).expect("dims"));
     });
     let fused_b1_over_dense_b1 = r_dense_b1.best_ns / r_fused_b1.best_ns;
-    // The GEMV's stages, each alone on one thread.
-    let payloads = panel_payloads(&encoded1);
-    let mut code_buf = vec![0u8; KC * NR + FILL_SLACK];
-    let r_decode_b1 = bench(&format!("fused/stage_decode/{b1k}x{b1n}"), || {
-        decode_stage(&encoded1, &payloads, &mut code_buf);
+    // The GEMV's stages, each alone on one thread, over the uniform
+    // weight and over a BERT-profile one.
+    let (b1_decode_ns_val, b1_emit_ns_val) = stage_ns_val("uniform", &encoded1);
+    let bert = ModelProfile::bert()
+        .sample_tensor(b1k * b1n, 0xBE27)
+        .reshape(&[b1k, b1n])
+        .expect("dims");
+    let encoded_bert = EncodedMatrix::encode(&bert).expect("finite operand encodes");
+    let (b1_decode_ns_val_bert, b1_emit_ns_val_bert) = stage_ns_val("bert", &encoded_bert);
+    let r_encode = bench(&format!("fused/encode/bert/{b1k}x{b1n}"), || {
+        black_box(EncodedMatrix::encode(&bert).expect("finite operand encodes"));
     });
-    let panel_codes: Vec<Vec<u8>> = payloads
-        .iter()
-        .map(|&(payload, nibbles)| spark_codec::decode_payload(payload, nibbles).expect("valid"))
-        .collect();
-    let dq = Dequant::new(encoded1.profile().step());
-    let mut operand = vec![0.0f32; KC * NR];
-    let r_emit_b1 = bench(&format!("fused/stage_emit_f32/{b1k}x{b1n}"), || {
-        emit_stage(&encoded1, &panel_codes, &dq, &mut operand);
-    });
-    let b1_values = (b1k * b1n) as f64;
-    let b1_decode_ns_val = r_decode_b1.best_ns / b1_values;
-    let b1_emit_ns_val = r_emit_b1.best_ns / b1_values;
+    let encode_ns_val = r_encode.best_ns / (b1k * b1n) as f64;
     let fused_b1_over_dense_b1_mean = r_dense_b1.mean_ns / r_fused_b1.mean_ns;
 
     let fused_gflops = gflops(m, k, n, r_fused.mean_ns);
@@ -248,6 +276,9 @@ fn main() {
     println!("fused/b1_over_dense_b1_mean     {fused_b1_over_dense_b1_mean:>11.2}x");
     println!("fused/b1_decode_ns_val          {b1_decode_ns_val:>11.3}");
     println!("fused/b1_emit_ns_val            {b1_emit_ns_val:>11.3}");
+    println!("fused/b1_decode_ns_val_bert     {b1_decode_ns_val_bert:>11.3}");
+    println!("fused/b1_emit_ns_val_bert       {b1_emit_ns_val_bert:>11.3}");
+    println!("fused/encode_ns_val             {encode_ns_val:>11.3}");
 
     if let Some(path) = std::env::var_os("SPARK_BENCH_JSON") {
         let doc = Value::object([
@@ -279,6 +310,9 @@ fn main() {
             ),
             ("b1_decode_ns_val", Value::Num(b1_decode_ns_val)),
             ("b1_emit_ns_val", Value::Num(b1_emit_ns_val)),
+            ("b1_decode_ns_val_bert", Value::Num(b1_decode_ns_val_bert)),
+            ("b1_emit_ns_val_bert", Value::Num(b1_emit_ns_val_bert)),
+            ("encode_ns_val", Value::Num(encode_ns_val)),
         ]);
         std::fs::write(&path, doc.to_string_pretty() + "\n").expect("write SPARK_BENCH_JSON");
         println!("wrote {}", path.to_string_lossy());

@@ -6,7 +6,7 @@ use std::process::Command;
 /// size to set: the removed `--window-us` and `--batch` flags must each be
 /// refused before any socket is bound, not silently accepted.
 #[test]
-fn serve_rejects_the_removed_window_flag() {
+fn serve_rejects_the_removed_batching_flags() {
     for (flag, value) in [("--window-us", "5"), ("--batch", "8")] {
         let out = Command::new(env!("CARGO_BIN_EXE_spark"))
             .args(["serve", flag, value])

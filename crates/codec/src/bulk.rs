@@ -29,7 +29,7 @@
 //!
 //! The identifier-mask extraction and nibble unpacking have `Scalar`,
 //! `AVX2`, and `AVX-512` kernels behind the same runtime-dispatch enum
-//! pattern as the simulator and GEMM engines ([`DecodeVariant`]); the
+//! pattern as the simulator and GEMM engines ([`CodecVariant`]); the
 //! scalar FSM stays in-tree as the bit-identity reference
 //! ([`crate::stream::decode_stream_reference`]), and the exhaustive
 //! differential suite in `tests/bulk_differential.rs` pins every dispatch
@@ -75,34 +75,43 @@ const LOW3: u64 = 0x0707_0707_0707_0707;
 const BIT12: u64 = 0x0606_0606_0606_0606;
 const BIT0: u64 = 0x0101_0101_0101_0101;
 
-/// Which bulk-decode kernel to run. Mirrors the simulator's and GEMM's
-/// engine-variant pattern: detect once, dispatch per call, keep every
-/// variant testable on hosts that support it.
+/// Which codec kernel tier to run: the bulk decoder here, the nibble
+/// packer ([`crate::pack`]) and the quantizer in front of it share one
+/// tier, since each tier's kernels need the same CPU features. Mirrors the
+/// simulator's and GEMM's engine-variant pattern: detect once, dispatch per
+/// call, keep every variant testable on hosts that support it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeVariant {
-    /// Portable scalar path (still bit-parallel per block via SWAR).
+pub enum CodecVariant {
+    /// Portable scalar path: SWAR block decode (still bit-parallel per
+    /// block), the table packer and the scalar quantizer — the oracles.
     Scalar,
     /// AVX2 mask extraction and unpacking plus BMI2 `pext`/`pdep`
-    /// byte-granular emission compaction.
+    /// byte-granular compaction, for emitted values and packed nibbles.
     Avx2,
-    /// AVX-512 (`F+BW+VL+VBMI+VBMI2`): whole blocks decoded in one
-    /// 64-lane register, emitted values gathered with `vpcompressb`.
+    /// AVX-512 (`F+BW+VL+VBMI+VBMI2`): whole blocks decoded or packed in
+    /// one 64-lane register, compacted with `vpcompressb`.
     Avx512,
 }
 
-impl DecodeVariant {
+impl CodecVariant {
     #[cfg(target_arch = "x86_64")]
     fn avx2_supported() -> bool {
-        // BMI2 rides along for the pext/pdep byte compaction; the two have
-        // shipped together since their (Haswell) introduction.
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("bmi2")
+        // BMI2 rides along for the pext/pdep byte compaction, POPCNT for
+        // the packer's nibble counts; all three ship together since
+        // Haswell.
+        is_x86_feature_detected!("avx2")
+            && is_x86_feature_detected!("bmi2")
+            && is_x86_feature_detected!("popcnt")
     }
 
     #[cfg(target_arch = "x86_64")]
     fn avx512_supported() -> bool {
-        // VBMI supplies the cross-lane byte permute for prev alignment,
-        // VBMI2 the `vpcompressb` emission compaction.
-        is_x86_feature_detected!("avx512f")
+        // VBMI supplies the cross-lane byte permutes (prev alignment,
+        // nibble interleave), VBMI2 the `vpcompressb` compaction; the
+        // packer's `pdep` and popcounts need BMI2 and POPCNT.
+        is_x86_feature_detected!("bmi2")
+            && is_x86_feature_detected!("popcnt")
+            && is_x86_feature_detected!("avx512f")
             && is_x86_feature_detected!("avx512bw")
             && is_x86_feature_detected!("avx512vl")
             && is_x86_feature_detected!("avx512vbmi")
@@ -114,26 +123,26 @@ impl DecodeVariant {
         #[cfg(target_arch = "x86_64")]
         {
             if Self::avx512_supported() {
-                return DecodeVariant::Avx512;
+                return CodecVariant::Avx512;
             }
             if Self::avx2_supported() {
-                return DecodeVariant::Avx2;
+                return CodecVariant::Avx2;
             }
         }
-        DecodeVariant::Scalar
+        CodecVariant::Scalar
     }
 
     /// Every variant this host can run (always at least
-    /// [`DecodeVariant::Scalar`]), for differential tests and benchmarks.
+    /// [`CodecVariant::Scalar`]), for differential tests and benchmarks.
     pub fn all() -> Vec<Self> {
-        let mut v = vec![DecodeVariant::Scalar];
+        let mut v = vec![CodecVariant::Scalar];
         #[cfg(target_arch = "x86_64")]
         {
             if Self::avx2_supported() {
-                v.push(DecodeVariant::Avx2);
+                v.push(CodecVariant::Avx2);
             }
             if Self::avx512_supported() {
-                v.push(DecodeVariant::Avx512);
+                v.push(CodecVariant::Avx512);
             }
         }
         v
@@ -142,9 +151,9 @@ impl DecodeVariant {
     /// Stable lower-case name for reports and bench JSON.
     pub fn name(self) -> &'static str {
         match self {
-            DecodeVariant::Scalar => "scalar",
-            DecodeVariant::Avx2 => "avx2",
-            DecodeVariant::Avx512 => "avx512",
+            CodecVariant::Scalar => "scalar",
+            CodecVariant::Avx2 => "avx2",
+            CodecVariant::Avx512 => "avx512",
         }
     }
 }
@@ -227,7 +236,7 @@ mod x86 {
     //! SIMD mask-extraction and unpack kernels for one full 32-byte
     //! block. Callers guarantee `bytes` holds at least [`BLOCK_BYTES`]
     //! readable bytes and that the required CPU features are present
-    //! (enforced by constructing the [`DecodeVariant`] via `detect`/`all`).
+    //! (enforced by constructing the [`CodecVariant`] via `detect`/`all`).
     #![allow(unsafe_code)]
 
     use super::{prev_mask, spread, BlockState, BIT0, BIT12, BLOCK_NIBBLES, LOW3};
@@ -484,17 +493,17 @@ mod x86 {
 
 /// One full-block identifier mask through the selected kernel.
 #[inline]
-fn id_mask_full(variant: DecodeVariant, bytes: &[u8]) -> u64 {
+fn id_mask_full(variant: CodecVariant, bytes: &[u8]) -> u64 {
     debug_assert!(bytes.len() >= BLOCK_BYTES);
     match variant {
-        DecodeVariant::Scalar => id_mask_scalar(&bytes[..BLOCK_BYTES], BLOCK_NIBBLES),
+        CodecVariant::Scalar => id_mask_scalar(&bytes[..BLOCK_BYTES], BLOCK_NIBBLES),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the variant is only constructed when the features are
         // detected, and the caller slices a full block.
-        DecodeVariant::Avx2 => unsafe { x86::id_mask_avx2(bytes.as_ptr()) },
+        CodecVariant::Avx2 => unsafe { x86::id_mask_avx2(bytes.as_ptr()) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        DecodeVariant::Avx512 => unsafe { x86::id_mask_avx512(bytes.as_ptr()) },
+        CodecVariant::Avx512 => unsafe { x86::id_mask_avx512(bytes.as_ptr()) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => id_mask_scalar(&bytes[..BLOCK_BYTES], BLOCK_NIBBLES),
     }
@@ -504,20 +513,20 @@ fn id_mask_full(variant: DecodeVariant, bytes: &[u8]) -> u64 {
 /// kernel — kept for the cross-variant agreement tests; the hot paths
 /// call their kernel directly.
 #[cfg(test)]
-fn load_full(variant: DecodeVariant, bytes: &[u8]) -> ([u8; BLOCK_NIBBLES], u64) {
+fn load_full(variant: CodecVariant, bytes: &[u8]) -> ([u8; BLOCK_NIBBLES], u64) {
     debug_assert!(bytes.len() >= BLOCK_BYTES);
     match variant {
-        DecodeVariant::Scalar => (
+        CodecVariant::Scalar => (
             unpack_scalar(&bytes[..BLOCK_BYTES]),
             id_mask_scalar(&bytes[..BLOCK_BYTES], BLOCK_NIBBLES),
         ),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the variant is only constructed when the features are
         // detected, and the caller slices a full block.
-        DecodeVariant::Avx2 => unsafe { x86::load_avx2(bytes.as_ptr()) },
+        CodecVariant::Avx2 => unsafe { x86::load_avx2(bytes.as_ptr()) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        DecodeVariant::Avx512 => unsafe { x86::load_avx512(bytes.as_ptr()) },
+        CodecVariant::Avx512 => unsafe { x86::load_avx512(bytes.as_ptr()) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => (
             unpack_scalar(&bytes[..BLOCK_BYTES]),
@@ -539,7 +548,7 @@ fn load_full(variant: DecodeVariant, bytes: &[u8]) -> ([u8; BLOCK_NIBBLES], u64)
 /// [`DecodeError::TruncatedLongCode`] when the stream ends half-way
 /// through a long code.
 pub fn resolve_len_with(
-    variant: DecodeVariant,
+    variant: CodecVariant,
     payload: &[u8],
     nibbles: usize,
 ) -> Result<usize, DecodeError> {
@@ -572,7 +581,7 @@ pub fn resolve_len_with(
 ///
 /// [`DecodeError::TruncatedLongCode`] for a half-read long code.
 pub fn resolve_len(payload: &[u8], nibbles: usize) -> Result<usize, DecodeError> {
-    resolve_len_with(DecodeVariant::detect(), payload, nibbles)
+    resolve_len_with(CodecVariant::detect(), payload, nibbles)
 }
 
 /// A resumable emission pass over one validated payload: each
@@ -584,7 +593,7 @@ pub fn resolve_len(payload: &[u8], nibbles: usize) -> Result<usize, DecodeError>
 /// one [`decode_payload_with`] call.
 #[derive(Debug, Clone)]
 pub struct BulkCursor<'a> {
-    variant: DecodeVariant,
+    variant: CodecVariant,
     payload: &'a [u8],
     nibbles: usize,
     state: BlockState,
@@ -596,7 +605,7 @@ impl<'a> BulkCursor<'a> {
     /// # Panics
     ///
     /// When `payload` holds fewer than `nibbles.div_ceil(2)` bytes.
-    pub fn new(variant: DecodeVariant, payload: &'a [u8], nibbles: usize) -> Self {
+    pub fn new(variant: CodecVariant, payload: &'a [u8], nibbles: usize) -> Self {
         assert!(
             payload.len() >= nibbles.div_ceil(2),
             "payload holds {} bytes, {nibbles} nibbles need {}",
@@ -628,17 +637,17 @@ impl<'a> BulkCursor<'a> {
             out.len()
         );
         let len = match self.variant {
-            DecodeVariant::Scalar => 0,
+            CodecVariant::Scalar => 0,
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the variant is only constructed when `detect`/`all`
             // observed the required CPU features; `new` checked the payload
             // length and the assert above the output headroom.
-            DecodeVariant::Avx2 => unsafe {
+            CodecVariant::Avx2 => unsafe {
                 x86::decode_blocks_avx2(self.payload, self.nibbles, &mut self.state, out, 0, want)
             },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above.
-            DecodeVariant::Avx512 => unsafe {
+            CodecVariant::Avx512 => unsafe {
                 x86::decode_blocks_avx512(self.payload, self.nibbles, &mut self.state, out, 0, want)
             },
             #[cfg(not(target_arch = "x86_64"))]
@@ -658,7 +667,7 @@ impl<'a> BulkCursor<'a> {
 /// (the container reader, [`decode_payload_with`]) and size `out` from the
 /// count it resolved.
 pub(crate) fn decode_payload_to(
-    variant: DecodeVariant,
+    variant: CodecVariant,
     payload: &[u8],
     nibbles: usize,
     out: &mut [u8],
@@ -683,7 +692,7 @@ pub(crate) fn decode_payload_to(
 
 /// Portable emission pass from a block-boundary state, with the same
 /// contract as the SIMD kernels except that it also decodes the final
-/// partial block: the whole stream under [`DecodeVariant::Scalar`], and
+/// partial block: the whole stream under [`CodecVariant::Scalar`], and
 /// the tail the SIMD kernels leave.
 fn decode_blocks_scalar(
     payload: &[u8],
@@ -788,7 +797,7 @@ fn decode_blocks_scalar(
 /// [`DecodeError::TruncatedLongCode`] when the stream ends half-way
 /// through a long code.
 pub fn decode_payload_with(
-    variant: DecodeVariant,
+    variant: CodecVariant,
     payload: &[u8],
     nibbles: usize,
 ) -> Result<Vec<u8>, DecodeError> {
@@ -804,7 +813,7 @@ pub fn decode_payload_with(
 ///
 /// [`DecodeError::TruncatedLongCode`] for a half-read long code.
 pub fn decode_payload(payload: &[u8], nibbles: usize) -> Result<Vec<u8>, DecodeError> {
-    decode_payload_with(DecodeVariant::detect(), payload, nibbles)
+    decode_payload_with(CodecVariant::detect(), payload, nibbles)
 }
 
 /// Bulk-decodes a [`NibbleStream`] under an explicit variant — the
@@ -814,7 +823,7 @@ pub fn decode_payload(payload: &[u8], nibbles: usize) -> Result<Vec<u8>, DecodeE
 ///
 /// [`DecodeError::TruncatedLongCode`] for a half-read long code.
 pub fn decode_bulk_with(
-    variant: DecodeVariant,
+    variant: CodecVariant,
     stream: &NibbleStream,
 ) -> Result<Vec<u8>, DecodeError> {
     decode_payload_with(variant, stream.as_bytes(), stream.len())
@@ -827,7 +836,7 @@ pub fn decode_bulk_with(
 ///
 /// [`DecodeError::TruncatedLongCode`] for a half-read long code.
 pub fn decode_bulk(stream: &NibbleStream) -> Result<Vec<u8>, DecodeError> {
-    decode_bulk_with(DecodeVariant::detect(), stream)
+    decode_bulk_with(CodecVariant::detect(), stream)
 }
 
 #[cfg(test)]
@@ -909,7 +918,7 @@ mod tests {
     fn id_masks_agree_across_variants() {
         let bytes: Vec<u8> = (0..BLOCK_BYTES).map(|i| (i * 37 + 11) as u8).collect();
         let want = id_mask_scalar(&bytes, BLOCK_NIBBLES);
-        for v in DecodeVariant::all() {
+        for v in CodecVariant::all() {
             assert_eq!(id_mask_full(v, &bytes), want, "{}", v.name());
             let (nibs, id) = load_full(v, &bytes);
             assert_eq!(id, want, "{}", v.name());
@@ -919,8 +928,8 @@ mod tests {
 
     #[test]
     fn variant_detect_is_listed_in_all() {
-        let all = DecodeVariant::all();
-        assert!(all.contains(&DecodeVariant::detect()));
-        assert_eq!(all[0], DecodeVariant::Scalar);
+        let all = CodecVariant::all();
+        assert!(all.contains(&CodecVariant::detect()));
+        assert_eq!(all[0], CodecVariant::Scalar);
     }
 }

@@ -107,16 +107,24 @@ pub fn write_container<W: Write>(tensor: &EncodedTensor, mut out: W) -> Result<u
     // The header is serialized into a fixed buffer first so the returned
     // byte count is derived from what was actually written — it cannot
     // drift from the format if a field is ever added or resized.
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4..8].copy_from_slice(&VERSION.to_le_bytes());
-    header[8..16].copy_from_slice(&(tensor.elements as u64).to_le_bytes());
-    header[16..24].copy_from_slice(&(tensor.stream.len() as u64).to_le_bytes());
-    header[24..32].copy_from_slice(&stream_checksum(tensor.stream.as_bytes()).to_le_bytes());
     let payload = tensor.stream.as_bytes();
+    let header = header_bytes(tensor.elements, tensor.stream.len(), payload);
     out.write_all(&header)?;
     out.write_all(payload)?;
     Ok(header.len() + payload.len())
+}
+
+/// The header [`write_container`] puts before `payload`, the packed
+/// stream of `elements` values in `nibbles` beats — for callers that pack
+/// the payload in place and prepend the header themselves.
+pub fn header_bytes(elements: usize, nibbles: usize, payload: &[u8]) -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    header[0..4].copy_from_slice(&MAGIC);
+    header[4..8].copy_from_slice(&VERSION.to_le_bytes());
+    header[8..16].copy_from_slice(&(elements as u64).to_le_bytes());
+    header[16..24].copy_from_slice(&(nibbles as u64).to_le_bytes());
+    header[24..32].copy_from_slice(&stream_checksum(payload).to_le_bytes());
+    header
 }
 
 /// A container header that passed every check the header alone allows:
@@ -198,7 +206,7 @@ impl Header {
                 "final padding nibble is not zero".into(),
             ));
         }
-        let variant = crate::bulk::DecodeVariant::detect();
+        let variant = crate::bulk::CodecVariant::detect();
         let resolved = crate::bulk::resolve_len_with(variant, payload, self.nibbles)?;
         if resolved != self.elements {
             return Err(ContainerError::Corrupt(format!(
@@ -253,7 +261,7 @@ pub fn read_container<R: Read>(mut input: R) -> Result<EncodedTensor, ContainerE
         ContainerError::Corrupt("payload shape disagrees with the nibble count".into())
     })?;
     let mut decoded = vec![0u8; elements];
-    let variant = crate::bulk::DecodeVariant::detect();
+    let variant = crate::bulk::CodecVariant::detect();
     crate::bulk::decode_payload_to(variant, stream.as_bytes(), stream.len(), &mut decoded);
     let mut hist = [0u64; 256];
     for &v in &decoded {

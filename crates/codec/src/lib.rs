@@ -33,7 +33,9 @@
 //!   every beat-aligned format, the reference oracle for bulk decode;
 //! - [`encoder`] — the gate-level encoder of Fig 10 ([`SparkEncoder`]), an
 //!   independent oracle for the code rule;
-//! - [`bulk`] — the bit-parallel block decoder [`decode_stream`] runs on;
+//! - [`bulk`] — the bit-parallel block decoder [`decode_stream`] runs on,
+//!   and [`CodecVariant`], the kernel tier it and the packer dispatch on;
+//! - [`pack`] — the SIMD nibble packer [`EncodePlan`] runs on;
 //! - [`stream`] and [`general_stream`] — nibble- and beat-aligned packing;
 //!   tensors encode through one table per mode ([`EncodePlan`]);
 //! - [`container`] — the on-disk container and its one validator;
@@ -67,13 +69,14 @@ pub mod decoder;
 pub mod encoder;
 pub mod general;
 pub mod general_stream;
+pub mod pack;
 pub mod stats;
 pub mod stream;
 pub mod table;
 
 pub use analysis::{analyze, CodeAnalysis};
 pub use bulk::{
-    decode_bulk, decode_bulk_with, decode_payload, decode_payload_with, BulkCursor, DecodeVariant,
+    decode_bulk, decode_bulk_with, decode_payload, decode_payload_with, BulkCursor, CodecVariant,
 };
 pub use code::{decode_value, encode_value, CodeKind, SparkCode, MAX_ENCODING_ERROR};
 pub use codecheck::FormatError;

@@ -8,8 +8,10 @@
 
 use std::sync::OnceLock;
 
+use crate::bulk::CodecVariant;
 use crate::compensation::EncodeMode;
 use crate::decoder::{DecodeError, SparkDecoder};
+use crate::pack::{self, PackState};
 use crate::stats::CodeStats;
 
 /// A dense, aligned stream of 4-bit beats (high nibble first within each
@@ -204,7 +206,9 @@ struct PlanEntry {
 ///
 /// [`EncodePlan::encode`] produces the stream and statistics a per-value
 /// `mode.encode(v)` loop would (a property the tests pin against such a
-/// loop), but in a single pass with no per-value encoder invocation.
+/// loop), but in a single pass with no per-value encoder invocation: the
+/// host's SIMD packer ([`crate::pack`]) over whole blocks, then the table
+/// loop, which is also the whole of the scalar tier.
 pub struct EncodePlan {
     mode: EncodeMode,
     table: [PlanEntry; 256],
@@ -251,45 +255,89 @@ impl EncodePlan {
         self.mode
     }
 
-    /// Encodes one tensor through the table: a single pass that packs
-    /// nibbles and accumulates statistics simultaneously.
+    /// Encodes one tensor under the host's fastest packer tier
+    /// ([`CodecVariant::detect`]).
     pub fn encode(&self, values: &[u8]) -> EncodedTensor {
-        let mut long_cnt = 0u64;
-        let mut lossless = 0u64;
-        let mut err_sum = 0u64;
-        let mut max_err = 0u8;
-        // Worst case one byte per value (all long codes).
+        self.encode_with(CodecVariant::detect(), values)
+    }
+
+    /// Encodes one tensor through `variant`'s packer: the same stream and
+    /// statistics under every tier (the differential-test entry point).
+    /// The stream is allocated once, for the worst case of one byte per
+    /// value.
+    pub fn encode_with(&self, variant: CodecVariant, values: &[u8]) -> EncodedTensor {
         let mut bytes = Vec::with_capacity(values.len());
-        let mut acc = 0u8; // pending high nibble, valid when `have_half`
-        let mut have_half = false;
+        let (len, stats) = self.pack_into(variant, values, &mut bytes);
+        EncodedTensor {
+            stream: NibbleStream { bytes, len },
+            elements: values.len(),
+            stats,
+        }
+    }
+
+    /// Appends the packed stream of `values` to `out` and returns its
+    /// nibble count and statistics: `variant`'s SIMD kernel
+    /// ([`crate::pack`]) over whole blocks, then the table loop over the
+    /// rest, continuing from the half-byte and counts the kernel left.
+    /// Reserves the worst case of one byte per value up front, so `out`
+    /// grows at most once.
+    pub fn pack_into(
+        &self,
+        variant: CodecVariant,
+        values: &[u8],
+        out: &mut Vec<u8>,
+    ) -> (usize, CodeStats) {
+        out.reserve(values.len());
+        let start = out.len();
+        let mut st = PackState::default();
+        let done = pack::pack_blocks(variant, self.mode, values, out, &mut st);
+        self.pack_table(&values[done..], out, &mut st);
+        if st.half {
+            out.push(st.acc);
+        }
+        let short = values.len() as u64 - st.long;
+        let stats = CodeStats::from_counts(short, st.long, st.lossless, st.err_sum, st.max_err);
+        let nibbles = stats.nibble_count() as usize;
+        debug_assert_eq!(out.len() - start, nibbles.div_ceil(2));
+        (nibbles, stats)
+    }
+
+    /// The scalar tier and the oracle: one table row per value, packing
+    /// nibbles and accumulating statistics in a single pass from `st`.
+    fn pack_table(&self, values: &[u8], out: &mut Vec<u8>, st: &mut PackState) {
+        let PackState {
+            mut acc,
+            half: mut have_half,
+            mut long,
+            mut lossless,
+            mut err_sum,
+            mut max_err,
+        } = *st;
         for &v in values {
             let e = self.table[v as usize];
-            long_cnt += e.long as u64;
+            long += e.long as u64;
             lossless += e.lossless as u64;
             err_sum += u64::from(e.err);
             max_err = max_err.max(e.err);
             if have_half {
-                bytes.push(acc | e.n0);
+                out.push(acc | e.n0);
                 acc = e.n1h;
                 have_half = e.long;
             } else if e.long {
-                bytes.push(e.pair);
+                out.push(e.pair);
             } else {
                 acc = e.n0h;
                 have_half = true;
             }
         }
-        if have_half {
-            bytes.push(acc);
-        }
-        let short_cnt = values.len() as u64 - long_cnt;
-        let len = (short_cnt + 2 * long_cnt) as usize;
-        debug_assert_eq!(bytes.len(), len.div_ceil(2));
-        EncodedTensor {
-            stream: NibbleStream { bytes, len },
-            elements: values.len(),
-            stats: CodeStats::from_counts(short_cnt, long_cnt, lossless, err_sum, max_err),
-        }
+        *st = PackState {
+            acc,
+            half: have_half,
+            long,
+            lossless,
+            err_sum,
+            max_err,
+        };
     }
 }
 

@@ -14,13 +14,13 @@
 use spark_codec::bulk::FILL_SLACK;
 use spark_codec::{
     decode_bulk_with, decode_payload_with, decode_stream_reference, encode_tensor, BulkCursor,
-    DecodeError, DecodeVariant, EncodedTensor, NibbleStream,
+    DecodeError, CodecVariant, EncodedTensor, NibbleStream,
 };
 
 /// Asserts bulk == FSM (values or typed error) for one stream, all variants.
 fn assert_identical(stream: &NibbleStream, what: &str) {
     let want = decode_stream_reference(stream);
-    for variant in DecodeVariant::all() {
+    for variant in CodecVariant::all() {
         let got = decode_bulk_with(variant, stream);
         assert_eq!(got, want, "{what} under {}", variant.name());
     }
@@ -98,7 +98,7 @@ fn truncated_long_code_at_every_block_offset() {
         stream.push(0b1000); // prev of a long code, post never arrives
         let want = decode_stream_reference(&stream);
         assert_eq!(want, Err(DecodeError::TruncatedLongCode), "n={n}");
-        for variant in DecodeVariant::all() {
+        for variant in CodecVariant::all() {
             assert_eq!(
                 decode_bulk_with(variant, &stream),
                 want,
@@ -124,7 +124,7 @@ fn truncation_preceded_by_long_codes() {
         stream.push(0b1111); // dangling prev
         let want = decode_stream_reference(&stream);
         assert_eq!(want, Err(DecodeError::TruncatedLongCode), "n={n}");
-        for variant in DecodeVariant::all() {
+        for variant in CodecVariant::all() {
             assert_eq!(decode_bulk_with(variant, &stream), want, "n={n} {}", variant.name());
         }
     }
@@ -195,7 +195,7 @@ fn raw_nibble_streams_not_from_the_encoder() {
 #[test]
 fn empty_stream_decodes_to_nothing() {
     let stream = NibbleStream::new();
-    for variant in DecodeVariant::all() {
+    for variant in CodecVariant::all() {
         assert_eq!(decode_bulk_with(variant, &stream), Ok(vec![]), "{}", variant.name());
     }
 }
@@ -224,7 +224,7 @@ fn cursor_blocks_concatenate_to_the_whole_payload_decode() {
     for (what, values) in [("random", &random), ("straddling", &straddling)] {
         let enc = encoded(values);
         let (payload, nibbles) = (enc.stream.as_bytes(), enc.stream.len());
-        for variant in DecodeVariant::all() {
+        for variant in CodecVariant::all() {
             let want = decode_payload_with(variant, payload, nibbles).unwrap();
             assert_eq!(want.len(), values.len(), "{what}");
             let mut buf = vec![0u8; KC_NR + FILL_SLACK];
@@ -251,7 +251,7 @@ fn cursor_blocks_concatenate_to_the_whole_payload_decode() {
 
 #[test]
 fn cursor_on_an_empty_payload_is_done() {
-    for variant in DecodeVariant::all() {
+    for variant in CodecVariant::all() {
         let mut cursor = BulkCursor::new(variant, &[], 0);
         assert!(cursor.is_done());
         let got = cursor.fill(&mut [0u8; FILL_SLACK + 1], 1);

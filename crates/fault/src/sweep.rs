@@ -27,7 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use spark_codec::{
     decode_bulk_with, decode_general, decode_stream, decode_stream_reference, encode_general,
-    encode_tensor, read_container, write_container, ContainerError, DecodeError, DecodeVariant,
+    encode_tensor, read_container, write_container, ContainerError, DecodeError, CodecVariant,
     SparkFormat, MAX_ENCODING_ERROR,
 };
 use spark_util::json::Value;
@@ -231,7 +231,7 @@ pub fn sweep_codec(seed: u64, streams: usize) -> SweepReport {
         match catch_unwind(AssertUnwindSafe(|| decode_stream_reference(&corrupted))) {
             Err(_) => report.panics += 1,
             Ok(want) => {
-                for variant in DecodeVariant::all() {
+                for variant in CodecVariant::all() {
                     match catch_unwind(AssertUnwindSafe(|| decode_bulk_with(variant, &corrupted)))
                     {
                         Err(_) => report.panics += 1,

@@ -1,7 +1,8 @@
 //! The [`Codec`] trait every compression scheme implements, and the shared
 //! error type.
 
-use spark_tensor::{stats, Tensor};
+use spark_codec::CodecVariant;
+use spark_tensor::{quantize, stats, Tensor};
 use std::error::Error;
 use std::fmt;
 
@@ -76,13 +77,13 @@ pub trait Codec {
     fn compress(&self, tensor: &Tensor) -> Result<CodecResult, QuantError>;
 }
 
-/// Validates that every element is finite; shared by all codecs.
+/// Validates that every element is finite; shared by all codecs. Runs
+/// the encode front end's abs-max kernel, whose result is finite exactly
+/// when every element is.
 pub(crate) fn check_finite(t: &Tensor) -> Result<(), QuantError> {
-    if t.as_slice().iter().all(|x| x.is_finite()) {
-        Ok(())
-    } else {
-        Err(QuantError::NonFiniteInput)
-    }
+    quantize::finite_abs_max(CodecVariant::detect(), t.as_slice())
+        .map(|_| ())
+        .ok_or(QuantError::NonFiniteInput)
 }
 
 #[cfg(test)]

@@ -9,6 +9,8 @@
 //! maximum (optionally a clipping quantile), magnitudes in `0..=2^bits - 1`,
 //! signs kept as a separate bit vector.
 
+use spark_codec::CodecVariant;
+use spark_tensor::quantize::{self, MagnitudeScale};
 use spark_tensor::{stats, Tensor};
 
 use crate::codec::{check_finite, QuantError};
@@ -189,36 +191,29 @@ impl MagnitudeQuantizer {
         self.bits
     }
 
-    /// Quantizes a tensor to sign-magnitude codes.
+    /// Quantizes a tensor to sign-magnitude codes, through the encode
+    /// front end's quantize kernel ([`quantize::quantize_slice`]).
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::NonFiniteInput`] for NaN/infinite input.
     pub fn quantize(&self, t: &Tensor) -> Result<MagnitudeCodes, QuantError> {
-        check_finite(t)?;
-        let alpha = match self.clip_quantile {
-            Some(q) => stats::abs_quantile(t, q),
-            None => stats::abs_max(t),
-        };
-        let alpha = if alpha == 0.0 { 1.0 } else { alpha };
-        let qmax = ((1u64 << self.bits) - 1) as f32;
-        let mut codes = Vec::with_capacity(t.len());
-        let mut signs = Vec::with_capacity(t.len());
-        for &x in t.as_slice() {
-            signs.push(x < 0.0);
-            let code = (x.abs() / alpha * qmax).round().min(qmax);
-            codes.push(code as u8);
-        }
+        let variant = CodecVariant::detect();
+        let scale = self.scale(variant, t)?;
+        let mut codes = vec![0u8; t.len()];
+        let mut plane = vec![0u8; t.len().div_ceil(8)];
+        quantize::quantize_slice(variant, t.as_slice(), scale, &mut codes, &mut plane);
+        let signs = (0..t.len()).map(|e| plane[e >> 3] >> (e & 7) & 1 == 1).collect();
         Ok(MagnitudeCodes {
             codes,
             signs,
-            scale: alpha,
+            scale: scale.alpha(),
             bits: self.bits,
         })
     }
 
     /// Streams the unsigned magnitude codes of `t` to `f` without
-    /// materializing a [`MagnitudeCodes`] — the zero-allocation pass behind
+    /// materializing a [`MagnitudeCodes`] — the fixed-buffer pass behind
     /// stats-only consumers such as `SparkCodec::code_stats`. Produces
     /// exactly the code stream [`Self::quantize`] would.
     ///
@@ -226,17 +221,31 @@ impl MagnitudeQuantizer {
     ///
     /// Returns [`QuantError::NonFiniteInput`] for NaN/infinite input.
     pub fn for_each_code(&self, t: &Tensor, mut f: impl FnMut(u8)) -> Result<(), QuantError> {
-        check_finite(t)?;
-        let alpha = match self.clip_quantile {
-            Some(q) => stats::abs_quantile(t, q),
-            None => stats::abs_max(t),
-        };
-        let alpha = if alpha == 0.0 { 1.0 } else { alpha };
-        let qmax = ((1u64 << self.bits) - 1) as f32;
-        for &x in t.as_slice() {
-            f((x.abs() / alpha * qmax).round().min(qmax) as u8);
+        const CHUNK: usize = 4096;
+        let variant = CodecVariant::detect();
+        let scale = self.scale(variant, t)?;
+        let mut codes = [0u8; CHUNK];
+        let mut plane = [0u8; CHUNK / 8];
+        for chunk in t.as_slice().chunks(CHUNK) {
+            let codes = &mut codes[..chunk.len()];
+            quantize::quantize_slice(variant, chunk, scale, codes, &mut plane);
+            codes.iter().for_each(|&c| f(c));
         }
         Ok(())
+    }
+
+    /// The per-tensor scale: `alpha` from the clipping quantile, else from
+    /// the abs-max kernel, which also does the finite check.
+    fn scale(&self, variant: CodecVariant, t: &Tensor) -> Result<MagnitudeScale, QuantError> {
+        let alpha = match self.clip_quantile {
+            Some(q) => {
+                check_finite(t)?;
+                stats::abs_quantile(t, q)
+            }
+            None => quantize::finite_abs_max(variant, t.as_slice())
+                .ok_or(QuantError::NonFiniteInput)?,
+        };
+        Ok(MagnitudeScale::new(alpha, self.bits))
     }
 }
 
@@ -343,5 +352,60 @@ mod tests {
     fn non_finite_rejected() {
         let x = t(&[f32::NAN]);
         assert!(MagnitudeQuantizer::new(8).unwrap().quantize(&x).is_err());
+    }
+
+    #[test]
+    fn every_non_finite_value_is_rejected_typed_on_every_path() {
+        let q = MagnitudeQuantizer::new(8).unwrap();
+        let clipped = q.with_clip_quantile(0.9).unwrap();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in [0usize, 7, 16, 20] {
+                let mut v = vec![0.5f32; 21];
+                v[at] = bad;
+                let x = t(&v);
+                for q in [q, clipped] {
+                    assert!(matches!(q.quantize(&x), Err(QuantError::NonFiniteInput)));
+                    assert!(matches!(
+                        q.for_each_code(&x, |_| {}),
+                        Err(QuantError::NonFiniteInput)
+                    ));
+                }
+                assert!(matches!(check_finite(&x), Err(QuantError::NonFiniteInput)));
+            }
+        }
+    }
+
+    #[test]
+    fn codes_are_the_per_value_expression() {
+        // The kernel path against the per-value rule it replaced, with
+        // signed zeros, exact ties and the clipping path, at every width.
+        let mut data: Vec<f32> = (0..1000)
+            .map(|i| ((i * 7919 % 1000) as f32 - 500.0) / 333.0)
+            .collect();
+        data.extend([-0.0, 0.0, 2.5 / 255.0 * 3.0, -3.0, 3.0]);
+        let x = t(&data);
+        for bits in [1u8, 4, 8] {
+            for q in [None, Some(0.8f32)] {
+                let mut quantizer = MagnitudeQuantizer::new(bits).unwrap();
+                if let Some(q) = q {
+                    quantizer = quantizer.with_clip_quantile(q).unwrap();
+                }
+                let got = quantizer.quantize(&x).unwrap();
+                let alpha = match q {
+                    Some(q) => stats::abs_quantile(&x, q),
+                    None => data.iter().fold(0.0f32, |m, &v| m.max(v.abs())),
+                };
+                let qmax = ((1u64 << bits) - 1) as f32;
+                assert_eq!(got.scale, alpha);
+                for (e, &v) in data.iter().enumerate() {
+                    let code = (v.abs() / alpha * qmax).round().min(qmax) as u8;
+                    assert_eq!(got.codes[e], code, "bits {bits} clip {q:?} element {e}");
+                    assert_eq!(got.signs[e], v < 0.0, "bits {bits} clip {q:?} element {e}");
+                }
+                let mut streamed = Vec::new();
+                quantizer.for_each_code(&x, |c| streamed.push(c)).unwrap();
+                assert_eq!(streamed, got.codes);
+            }
+        }
     }
 }

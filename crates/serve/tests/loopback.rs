@@ -47,7 +47,7 @@ fn reference_encode_body(values: &[f32]) -> String {
 }
 
 #[test]
-fn concurrent_clients_get_bit_identical_batched_responses() {
+fn concurrent_encodes_match_the_library_and_count_once() {
     let server = start(4, 64);
     let addr = server.addr().to_string();
 
@@ -143,7 +143,7 @@ fn decode_round_trip_matches_library_decode() {
 }
 
 #[test]
-fn concurrent_decodes_batch_and_stay_bit_identical() {
+fn concurrent_decodes_stay_bit_identical_and_fail_alone() {
     // Concurrent decodes each run on a shard worker, each response
     // byte-identical to the direct library pipeline, and a malformed
     // stream in the mix fails alone with its own 400.

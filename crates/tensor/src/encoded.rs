@@ -58,14 +58,18 @@
 //! through the full [`spark_codec::read_container`] path as an independent
 //! oracle.
 
+use std::ops::Range;
+
 use crate::emit::{self, dequant_run, Dequant};
 use crate::gemm::{GemmVariant, IntVariant, KC, NR};
-use crate::{stats, ShapeError, Tensor};
+use crate::quantize::{self, MagnitudeScale};
+use crate::{ShapeError, Tensor};
 use spark_codec::bulk::FILL_SLACK;
 use spark_codec::{
-    container, BulkCursor, ContainerError, DecodeError, DecodeVariant, EncodeMode, EncodePlan,
+    container, BulkCursor, CodecVariant, ContainerError, DecodeError, EncodeMode, EncodePlan,
     HEADER_LEN,
 };
+use spark_util::par;
 
 /// Errors from encoding, decoding, or running GEMM over an
 /// [`EncodedMatrix`].
@@ -173,8 +177,7 @@ impl EncodedMatrix {
     /// [`EncodedError::NonFinite`] for NaN/infinite input.
     pub fn encode(t: &Tensor) -> Result<Self, EncodedError> {
         let (k, n) = t.shape().as_matrix()?;
-        let src = t.as_slice();
-        Self::encode_panels(t, k, n, |kk, j| src[kk * n + j])
+        Self::encode_panels(CodecVariant::detect(), t, k, n, Layout::RowMajor)
     }
 
     /// Encodes an `n x k` row-major tensor as the logical `k x n` operand
@@ -187,58 +190,53 @@ impl EncodedMatrix {
     /// [`EncodedError::NonFinite`] for NaN/infinite input.
     pub fn encode_transposed(t: &Tensor) -> Result<Self, EncodedError> {
         let (n, k) = t.shape().as_matrix()?;
-        let src = t.as_slice();
-        Self::encode_panels(t, k, n, |kk, j| src[j * k + kk])
+        Self::encode_panels(CodecVariant::detect(), t, k, n, Layout::Transposed)
     }
 
+    /// The encode front end: one finite-check-and-abs-max pass over the
+    /// tensor, then each panel quantized and packed by `variant`'s
+    /// kernels ([`crate::quantize`], [`spark_codec::pack`]), the panels
+    /// fanned out over threads in contiguous runs, one scratch per run.
     fn encode_panels(
+        variant: CodecVariant,
         t: &Tensor,
         k: usize,
         n: usize,
-        get: impl Fn(usize, usize) -> f32,
+        layout: Layout,
     ) -> Result<Self, EncodedError> {
-        if t.as_slice().iter().any(|v| !v.is_finite()) {
-            return Err(EncodedError::NonFinite);
-        }
+        let src = t.as_slice();
         // The exact front-end `spark-quant`'s MagnitudeQuantizer applies:
         // per-tensor scale from the absolute maximum (1.0 for an all-zero
         // tensor), magnitudes rounded into 0..=qmax, signs kept aside.
-        let alpha = stats::abs_max(t);
-        let alpha = if alpha == 0.0 { 1.0 } else { alpha };
-        let profile = PrecisionProfile { scale: alpha, bits: 8 };
-        let qmax = profile.qmax();
-        let plan = EncodePlan::cached(EncodeMode::Compensated);
+        let alpha = quantize::finite_abs_max(variant, src).ok_or(EncodedError::NonFinite)?;
+        let scale = MagnitudeScale::new(alpha, 8);
+        let profile = PrecisionProfile {
+            scale: scale.alpha(),
+            bits: 8,
+        };
         let panel_count = n.div_ceil(NR);
+        let workers = par::thread_count()
+            .min(panel_count)
+            .min(k * n / PAR_MIN_VALUES)
+            .max(1);
+        let runs: Vec<Range<usize>> = (0..workers)
+            .map(|i| panel_count * i / workers..panel_count * (i + 1) / workers)
+            .collect();
+        let encoded = par::par_map(&runs, |run| {
+            let mut scratch = PanelScratch::default();
+            run.clone()
+                .map(|p| scratch.encode(variant, src, layout, k, n, p, scale))
+                .collect::<Vec<_>>()
+        });
         let mut panels = Vec::with_capacity(panel_count);
         let mut signs = Vec::with_capacity(panel_count);
         let mut nibbles = Vec::with_capacity(panel_count);
         let mut stats = spark_codec::CodeStats::new();
-        let mut codes = Vec::new();
-        for p in 0..panel_count {
-            let j0 = p * NR;
-            let w = NR.min(n - j0);
-            codes.clear();
-            codes.reserve(k * w);
-            let mut sign_bits = vec![0u8; (k * w).div_ceil(8)];
-            for kk in 0..k {
-                for l in 0..w {
-                    let x = get(kk, j0 + l);
-                    let e = codes.len();
-                    if x < 0.0 {
-                        sign_bits[e >> 3] |= 1 << (e & 7);
-                    }
-                    codes.push((x.abs() / alpha * qmax).round().min(qmax) as u8);
-                }
-            }
-            let enc = plan.encode(&codes);
-            stats.merge(&enc.stats);
-            let mut bytes = Vec::with_capacity(HEADER_LEN + enc.stream.byte_len());
-            // Infallible: writing into a Vec cannot fail.
-            spark_codec::write_container(&enc, &mut bytes)
-                .map_err(|e| EncodedError::Container(ContainerError::Io(e)))?;
-            panels.push(bytes);
-            signs.push(sign_bits);
-            nibbles.push(enc.stream.len());
+        for panel in encoded.into_iter().flatten() {
+            stats.merge(&panel.stats);
+            panels.push(panel.container);
+            signs.push(panel.signs);
+            nibbles.push(panel.nibbles);
         }
         debug_assert!(
             validate_panels(k, n, &panels, &signs).is_ok_and(|v| v == nibbles),
@@ -403,6 +401,103 @@ impl EncodedMatrix {
     }
 }
 
+/// Fewest values per worker before [`EncodedMatrix::encode`] fans its
+/// panels out: below this, a thread spawn costs more than it saves.
+const PAR_MIN_VALUES: usize = 1 << 16;
+
+/// Source depth per slab of the transposed gather: each source row is
+/// read in runs of four cache lines while the slab being written stays in
+/// L1.
+const GATHER_SLAB: usize = 64;
+
+/// How the source tensor holds the logical `k x n` operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// Row-major `k x n`: a panel row is `w` contiguous values.
+    RowMajor,
+    /// Row-major `n x k` (the operand transposed): a panel is `w`
+    /// contiguous source rows.
+    Transposed,
+}
+
+/// One panel's encoding: its container image, sign plane, nibble count
+/// and code statistics.
+struct EncodedPanel {
+    container: Vec<u8>,
+    signs: Vec<u8>,
+    nibbles: usize,
+    stats: spark_codec::CodeStats,
+}
+
+/// Buffers one encoding worker reuses from panel to panel.
+#[derive(Default)]
+struct PanelScratch {
+    /// The panel's values depth-major, gathered from a transposed source.
+    gathered: Vec<f32>,
+    codes: Vec<u8>,
+    payload: Vec<u8>,
+}
+
+impl PanelScratch {
+    /// Quantizes and packs panel `p` of the `k x n` operand held in `src`.
+    #[allow(clippy::too_many_arguments)]
+    fn encode(
+        &mut self,
+        variant: CodecVariant,
+        src: &[f32],
+        layout: Layout,
+        k: usize,
+        n: usize,
+        p: usize,
+        scale: MagnitudeScale,
+    ) -> EncodedPanel {
+        let j0 = p * NR;
+        let w = NR.min(n - j0);
+        let elements = k * w;
+        let mut signs = vec![0u8; elements.div_ceil(8)];
+        self.codes.resize(elements, 0);
+        match layout {
+            Layout::RowMajor => {
+                let rows = src.get(j0..).unwrap_or_default();
+                quantize::quantize_rows(variant, rows, n, k, w, scale, &mut self.codes, &mut signs);
+            }
+            Layout::Transposed => {
+                self.gathered.resize(elements, 0.0);
+                gather_panel(src, k, j0, w, &mut self.gathered);
+                let rows = &self.gathered;
+                quantize::quantize_rows(variant, rows, w, k, w, scale, &mut self.codes, &mut signs);
+            }
+        }
+        self.payload.clear();
+        let plan = EncodePlan::cached(EncodeMode::Compensated);
+        let (nibbles, stats) = plan.pack_into(variant, &self.codes, &mut self.payload);
+        let mut container = Vec::with_capacity(HEADER_LEN + self.payload.len());
+        container.extend_from_slice(&container::header_bytes(elements, nibbles, &self.payload));
+        container.extend_from_slice(&self.payload);
+        EncodedPanel {
+            container,
+            signs,
+            nibbles,
+            stats,
+        }
+    }
+}
+
+/// Copies source rows `j0..j0 + w` of a row-major `n x k` matrix into
+/// `dst` depth-major (`dst[kk * w + l]`), one [`GATHER_SLAB`]-deep slab
+/// at a time.
+fn gather_panel(src: &[f32], k: usize, j0: usize, w: usize, dst: &mut [f32]) {
+    for kb in (0..k).step_by(GATHER_SLAB) {
+        let depth = GATHER_SLAB.min(k - kb);
+        for l in 0..w {
+            let row = &src[(j0 + l) * k + kb..][..depth];
+            for (d, &x) in row.iter().enumerate() {
+                dst[(kb + d) * w + l] = x;
+            }
+        }
+    }
+}
+
 /// Checks every panel against the `k x n` layout — its container through
 /// [`container::validate`], then the element count the layout needs and
 /// its sign-plane length — and returns each payload's nibble count.
@@ -479,7 +574,7 @@ impl<'a> PanelDecoder<'a> {
         dequant: &'a Dequant,
     ) -> Self {
         Self {
-            cursor: BulkCursor::new(DecodeVariant::detect(), payload, nibbles),
+            cursor: BulkCursor::new(CodecVariant::detect(), payload, nibbles),
             signs,
             dequant,
             elements,
@@ -607,6 +702,7 @@ impl<'a> PanelDecoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats;
     use spark_util::Rng;
 
     fn random_matrix(k: usize, n: usize, seed: u64) -> Tensor {
@@ -654,6 +750,152 @@ mod tests {
             a.decode().unwrap().as_slice(),
             b.decode().unwrap().as_slice()
         );
+    }
+
+    /// Panel containers, sign planes and statistics of a whole matrix.
+    type Panels = (Vec<Vec<u8>>, Vec<Vec<u8>>, spark_codec::CodeStats);
+
+    /// The encoder as it was before the SIMD front end, kept as the
+    /// oracle: a scalar finite check and abs-max fold, the per-value
+    /// quantize expression and sign branch through `get(kk, j)`, and the
+    /// table packer — panel containers, sign planes and statistics.
+    fn reference_encode(
+        t: &Tensor,
+        k: usize,
+        n: usize,
+        get: impl Fn(usize, usize) -> f32,
+    ) -> Option<Panels> {
+        if t.as_slice().iter().any(|v| !v.is_finite()) {
+            return None;
+        }
+        let alpha = t.as_slice().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+        let alpha = if alpha == 0.0 { 1.0 } else { alpha };
+        let qmax = 255.0f32;
+        let plan = EncodePlan::cached(EncodeMode::Compensated);
+        let (mut panels, mut signs) = (Vec::new(), Vec::new());
+        let mut stats = spark_codec::CodeStats::new();
+        for p in 0..n.div_ceil(NR) {
+            let (j0, w) = (p * NR, NR.min(n - p * NR));
+            let mut codes = Vec::new();
+            let mut plane = vec![0u8; (k * w).div_ceil(8)];
+            for kk in 0..k {
+                for l in 0..w {
+                    let x = get(kk, j0 + l);
+                    let e = codes.len();
+                    if x < 0.0 {
+                        plane[e >> 3] |= 1 << (e & 7);
+                    }
+                    codes.push((x.abs() / alpha * qmax).round().min(qmax) as u8);
+                }
+            }
+            let enc = plan.encode_with(CodecVariant::Scalar, &codes);
+            stats.merge(&enc.stats);
+            let mut bytes = Vec::new();
+            spark_codec::write_container(&enc, &mut bytes).unwrap();
+            panels.push(bytes);
+            signs.push(plane);
+        }
+        Some((panels, signs, stats))
+    }
+
+    /// Asserts `em` holds exactly the reference encoding.
+    fn assert_matches_reference(em: &EncodedMatrix, want: &Panels, what: &str) {
+        assert_eq!(em.panels(), want.0.len(), "{what}: panel count");
+        for p in 0..em.panels() {
+            assert_eq!(em.panel_container(p), want.0[p].as_slice(), "{what}: panel {p}");
+            assert_eq!(em.panel_signs(p), want.1[p].as_slice(), "{what}: signs {p}");
+        }
+        assert_eq!(em.stats(), &want.2, "{what}: stats");
+    }
+
+    /// A `k x n` matrix with signed zeros, exact ties and a long tail.
+    fn edge_matrix(k: usize, n: usize, seed: u64) -> Tensor {
+        let mut rng = Rng::seed_from_u64(seed);
+        Tensor::from_fn(&[k, n], |_| match rng.gen_range(0..12) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 0.5,
+            3 => -2.5 / 255.0,
+            4 => (rng.gen_f64() as f32 - 0.5) * 40.0,
+            _ => (rng.gen_f64() as f32 - 0.5) * 0.2,
+        })
+    }
+
+    #[test]
+    fn every_tier_encodes_the_reference_panels() {
+        // Ragged last panels of every width 1..=15, full panels, k = 0, 1,
+        // odd, and deep enough to span several packer blocks per panel.
+        let mut shapes = vec![(0, 5), (5, 0), (1, 1), (3, 16), (2, 17), (67, 20), (130, 33)];
+        for w in 1..NR {
+            shapes.push((1 + 2 * w, w));
+            shapes.push((5, NR + w));
+        }
+        for (i, &(k, n)) in shapes.iter().enumerate() {
+            let t = edge_matrix(k, n, 100 + i as u64);
+            let src = t.as_slice();
+            let want = reference_encode(&t, k, n, |kk, j| src[kk * n + j]).unwrap();
+            let tt = crate::ops::transpose(&t).unwrap();
+            for variant in CodecVariant::all() {
+                let what = format!("{k}x{n} {}", variant.name());
+                let em = EncodedMatrix::encode_panels(variant, &t, k, n, Layout::RowMajor).unwrap();
+                assert_matches_reference(&em, &want, &what);
+                let em = EncodedMatrix::encode_panels(variant, &tt, k, n, Layout::Transposed).unwrap();
+                assert_matches_reference(&em, &want, &format!("{what} transposed"));
+            }
+        }
+    }
+
+    #[test]
+    fn fanned_out_panels_keep_their_order() {
+        // Enough values for the encoder to fan its panels out over
+        // threads (on a multi-core host): the panels come back in order,
+        // identical to the reference.
+        let (k, n) = (67, 16 * 61 + 5);
+        assert!(k * n >= PAR_MIN_VALUES);
+        let t = edge_matrix(k, n, 7);
+        let src = t.as_slice();
+        let want = reference_encode(&t, k, n, |kk, j| src[kk * n + j]).unwrap();
+        assert_matches_reference(&EncodedMatrix::encode(&t).unwrap(), &want, "row-major");
+        let tt = crate::ops::transpose(&t).unwrap();
+        let em = EncodedMatrix::encode_transposed(&tt).unwrap();
+        assert_matches_reference(&em, &want, "transposed");
+    }
+
+    #[test]
+    fn encode_transposed_matches_encode_of_transpose_at_ragged_shapes() {
+        for (k, n) in [(1, 1), (5, 3), (17, 31), (64, 17), (65, 47), (130, 15)] {
+            let t = edge_matrix(n, k, (k * 1000 + n) as u64);
+            let a = EncodedMatrix::encode(&crate::ops::transpose(&t).unwrap()).unwrap();
+            for variant in CodecVariant::all() {
+                let b = EncodedMatrix::encode_panels(variant, &t, k, n, Layout::Transposed).unwrap();
+                let src = t.as_slice();
+                let want = reference_encode(&t, k, n, |kk, j| src[j * k + kk]).unwrap();
+                assert_matches_reference(&b, &want, &format!("{k}x{n} {}", variant.name()));
+                for p in 0..a.panels() {
+                    assert_eq!(a.panel_container(p), b.panel_container(p), "{k}x{n} panel {p}");
+                    assert_eq!(a.panel_signs(p), b.panel_signs(p), "{k}x{n} signs {p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_rejects_non_finite_values_typed() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for at in [0usize, 5, 16, 33] {
+                let mut v = vec![0.25f32; 34];
+                v[at] = bad;
+                let t = Tensor::from_vec(v, &[2, 17]).unwrap();
+                for variant in CodecVariant::all() {
+                    let got = EncodedMatrix::encode_panels(variant, &t, 2, 17, Layout::RowMajor);
+                    assert!(matches!(got, Err(EncodedError::NonFinite)), "{bad} at {at}");
+                }
+                assert!(matches!(
+                    EncodedMatrix::encode_transposed(&t),
+                    Err(EncodedError::NonFinite)
+                ));
+            }
+        }
     }
 
     #[test]

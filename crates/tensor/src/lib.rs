@@ -35,6 +35,7 @@ pub mod encoded;
 pub mod gemm;
 pub mod im2col;
 pub mod ops;
+pub mod quantize;
 pub mod stats;
 
 pub use encoded::{EncodedError, EncodedMatrix, PrecisionProfile};

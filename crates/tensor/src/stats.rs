@@ -50,9 +50,17 @@ pub fn summarize(t: &Tensor) -> Summary {
     }
 }
 
-/// Maximum absolute value (the `alpha` used by symmetric quantizers).
+/// Maximum absolute value (the `alpha` used by symmetric quantizers),
+/// through the encode front end's abs-max kernel
+/// ([`crate::quantize::abs_max_bits`]). NaNs are skipped, as `f32::max`
+/// skips them.
 pub fn abs_max(t: &Tensor) -> f32 {
-    t.as_slice().iter().fold(0.0f32, |m, &x| m.max(x.abs()))
+    let bits = crate::quantize::abs_max_bits(spark_codec::CodecVariant::detect(), t.as_slice());
+    if bits <= f32::INFINITY.to_bits() {
+        f32::from_bits(bits)
+    } else {
+        t.as_slice().iter().fold(0.0f32, |m, &x| m.max(x.abs()))
+    }
 }
 
 /// The `q`-th quantile (0.0..=1.0) of the absolute values, used by

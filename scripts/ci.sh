@@ -69,9 +69,27 @@ echo "==> decode-fused GEMM bench -> BENCH_fused.json"
 # must stay >=1.0 (three runs on a 2-vCPU host read 1.36-1.60) and
 # int_rel_l2, its worst per-row relative L2 error against the f32
 # oracle, <=1e-3. b1_decode_ns_val and b1_emit_ns_val break the batch-1
-# GEMV down into its decode and operand-emit stages (ungated).
+# GEMV down into its decode and operand-emit stages (ungated), over a
+# uniform weight and, as *_bert, over a BERT-profile one. encode_ns_val
+# is the whole EncodedMatrix::encode of that BERT-profile 768x3072
+# weight per value: it must stay under 8 ns and at most 2x the value in
+# the committed BENCH_fused.json, read before the bench overwrites it.
+committed_encode=$(git show HEAD:BENCH_fused.json 2>/dev/null | awk '/"encode_ns_val"/ {
+    gsub(/[",]/, ""); print $2 + 0; exit
+}')
 SPARK_BENCH_JSON="$PWD/BENCH_fused.json" \
     cargo bench --offline -p spark-bench --bench fused || fail "fused GEMM bench"
+awk '/"encode_ns_val"/ {
+    gsub(/[",]/, ""); if ($2 + 0 >= 8.0) { exit 1 } else { found = 1 }
+} END { exit found ? 0 : 1 }' BENCH_fused.json || fail "BENCH_fused.json: BERT-profile encode is not under 8 ns/value"
+if [ -n "$committed_encode" ]; then
+    awk -v base="$committed_encode" '/"encode_ns_val"/ {
+        gsub(/[",]/, ""); if ($2 + 0 > 2.0 * base) { exit 1 } else { found = 1 }
+    } END { exit found ? 0 : 1 }' BENCH_fused.json ||
+        fail "BENCH_fused.json: encode_ns_val above 2x the committed $committed_encode"
+else
+    echo "note: the committed BENCH_fused.json has no encode_ns_val yet; only the 8 ns bound applies"
+fi
 grep -Eq '"fused_gflops": *[0-9]' BENCH_fused.json || fail "BENCH_fused.json missing a numeric fused_gflops"
 awk '/"weight_bytes_ratio"/ {
     gsub(/[",]/, ""); if ($2 + 0 > 0.55) { exit 1 } else { found = 1 }
