@@ -43,6 +43,12 @@
 //!   best batch mean per value. `scripts/ci.sh` gates it below 8 ns and
 //!   at most twice the committed value.
 //!
+//! - `fanout_2_us` — the fixed cost of one fan-out: a
+//!   [`spark_util::par::par_map`] over two trivial items, best batch mean
+//!   in microseconds. Every parallel GEMM call pays it once. A scoped
+//!   thread spawned per call cost 23–25 µs here; the pool's parked helpers
+//!   cost a post and a revoke. `scripts/ci.sh` gates it at ≤ 10 µs.
+//!
 //! Before any timing, the `f32` oracle must equal decode-then-turbo and the
 //! scalar reference to the bit, and the auto path must be within the error
 //! bound of the oracle (bit-identical at batch 1, below `MR` rows).
@@ -56,6 +62,7 @@ use spark_tensor::emit::{emit_f32, Dequant};
 use spark_tensor::gemm::{gemm_encoded_with, Epilogue, GemmVariant, KC, NR};
 use spark_tensor::{ops, EncodedMatrix, Tensor};
 use spark_util::bench::{bench, black_box};
+use spark_util::par::par_map;
 use spark_util::{Rng, Value};
 
 fn operands(m: usize, k: usize, n: usize, seed: u64) -> (Tensor, Tensor) {
@@ -260,6 +267,10 @@ fn main() {
     });
     let encode_ns_val = r_encode.best_ns / (b1k * b1n) as f64;
     let fused_b1_over_dense_b1_mean = r_dense_b1.mean_ns / r_fused_b1.mean_ns;
+    let r_fanout = bench("fused/fanout_2", || {
+        black_box(par_map(&[1u32, 2], |&v| black_box(v) + 1));
+    });
+    let fanout_2_us = r_fanout.best_ns / 1e3;
 
     let fused_gflops = gflops(m, k, n, r_fused.mean_ns);
     let fused_over_decode_then = r_decode_then.mean_ns / r_fused.mean_ns;
@@ -279,6 +290,7 @@ fn main() {
     println!("fused/b1_decode_ns_val_bert     {b1_decode_ns_val_bert:>11.3}");
     println!("fused/b1_emit_ns_val_bert       {b1_emit_ns_val_bert:>11.3}");
     println!("fused/encode_ns_val             {encode_ns_val:>11.3}");
+    println!("fused/fanout_2_us               {fanout_2_us:>11.3}");
 
     if let Some(path) = std::env::var_os("SPARK_BENCH_JSON") {
         let doc = Value::object([
@@ -313,6 +325,7 @@ fn main() {
             ("b1_decode_ns_val_bert", Value::Num(b1_decode_ns_val_bert)),
             ("b1_emit_ns_val_bert", Value::Num(b1_emit_ns_val_bert)),
             ("encode_ns_val", Value::Num(encode_ns_val)),
+            ("fanout_2_us", Value::Num(fanout_2_us)),
         ]);
         std::fs::write(&path, doc.to_string_pretty() + "\n").expect("write SPARK_BENCH_JSON");
         println!("wrote {}", path.to_string_lossy());

@@ -16,14 +16,24 @@
 //!   lane `l` at `dst[(pair * NR + l) * 2 + h]`. Integer negation is
 //!   exact, so the tiers agree trivially once they read the same bits.
 //!
+//! * [`mac_rows`] is the `f32` path below `MR` rows (a GEMV) on the SIMD
+//!   tiers: it widens each depth row's codes in registers with the same
+//!   `cvt · step` and sign-bit XOR as [`emit_f32`] and multiplies them
+//!   straight into the accumulators, so no `f32` panel is ever written.
+//!   Each output lane still sees `c + a * b`, a multiply then an add, in
+//!   ascending depth order with the `a == 0` skip, so it is bit-identical
+//!   to [`emit_f32`] followed by the single-row micro-kernel, which stays
+//!   as the scalar tier and the oracle.
+//!
 //! The SIMD tiers take full-width (`w == NR`) rows that start on a sign
 //! byte, so a row's 16 sign bits are one `u16` of the plane; the fused
 //! GEMM's rows always do, since every claim is a whole number of `NR`-wide
 //! rows. A ragged last panel (`w < NR`), an unaligned run and the half
 //! pair closing an odd depth block take the scalar loops, which stay as
-//! the oracle the tiers are tested against.
+//! the oracle the tiers are tested against; [`mac_rows`] reads a ragged
+//! panel's block through a zero-padded full-width copy ([`Padded`]).
 
-use crate::gemm::{GemmVariant, IntVariant, NR};
+use crate::gemm::{GemmVariant, IntVariant, GQ, KC, MR, NR};
 
 /// One tensor's dequantization: the step `scale / qmax` and, for the
 /// scalar tier, `(code as f32 * step).to_bits()` for every code.
@@ -237,6 +247,167 @@ fn emit_pairs_scalar(
     }
 }
 
+/// One depth block of a panel as full-width rows, the form [`mac_rows`]
+/// reads: row `r`'s `NR` codes at `codes[r * NR..]` and its `NR` sign bits
+/// as the little-endian `u16` at `signs[2 * r..]`.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct FullRows<'a> {
+    codes: &'a [u8],
+    signs: &'a [u8],
+}
+
+impl<'a> FullRows<'a> {
+    /// The block of a full-width panel in place: `codes` holds its rows
+    /// from panel element `e0`, a multiple of 8, so row `r`'s sign bits
+    /// are bytes `e0 / 8 + 2 * r` and the next of `signs`.
+    ///
+    /// # Panics
+    ///
+    /// When `e0` is not a multiple of 8.
+    pub(crate) fn in_place(codes: &'a [u8], signs: &'a [u8], e0: usize) -> Self {
+        assert!(e0.is_multiple_of(8), "full-width rows start on a sign byte");
+        Self {
+            codes,
+            signs: signs.get(e0 / 8..).unwrap_or_default(),
+        }
+    }
+}
+
+/// A ragged (`w < NR`) panel's depth block, widened to full-width rows
+/// with lanes `w..NR` zero.
+pub(crate) struct Padded {
+    codes: [u8; KC * NR],
+    signs: [u8; 2 * KC],
+}
+
+impl Default for Padded {
+    fn default() -> Self {
+        Self {
+            codes: [0; KC * NR],
+            signs: [0; 2 * KC],
+        }
+    }
+}
+
+impl Padded {
+    /// Widens `rows` depth-rows of a `w`-wide panel (`codes` and `e0` as
+    /// in [`emit_f32`]) and returns them as full-width rows.
+    ///
+    /// # Panics
+    ///
+    /// When `rows > KC`, or as [`emit_f32`] for the operands.
+    pub(crate) fn widen(
+        &mut self,
+        codes: &[u8],
+        signs: &[u8],
+        e0: usize,
+        rows: usize,
+        w: usize,
+    ) -> FullRows<'_> {
+        assert!(rows <= KC, "a depth block holds at most KC rows");
+        check_operands(codes, signs, e0, rows, w, KC * NR, rows);
+        for r in 0..rows {
+            let (src, dst) = (
+                &codes[r * w..(r + 1) * w],
+                &mut self.codes[r * NR..(r + 1) * NR],
+            );
+            dst[..w].copy_from_slice(src);
+            dst[w..].fill(0);
+            let bits = (0..w).fold(0u16, |bits, l| {
+                bits | (sign_bit(signs, e0 + r * w + l) as u16) << l
+            });
+            self.signs[2 * r..2 * r + 2].copy_from_slice(&bits.to_le_bytes());
+        }
+        FullRows {
+            codes: &self.codes[..rows * NR],
+            signs: &self.signs[..2 * rows],
+        }
+    }
+}
+
+/// One GEMV row's accumulators across a panel group: `[panel][lane]`.
+pub(crate) type GroupAcc = [[f32; NR]; GQ];
+
+/// Whether `variant` has a [`mac_rows`] kernel; the scalar tier emits
+/// `f32` panels for the single-row micro-kernel instead (the oracle).
+pub(crate) fn fuses(variant: GemmVariant) -> bool {
+    !matches!(variant, GemmVariant::Scalar)
+}
+
+/// For every depth `kk` in `0..depth` and row `r`, unless `a[r * lda +
+/// kk]` is zero: `acc[r][q][lane] += a[r * lda + kk] * value`, where
+/// `value` is element `(kk, lane)` of `blocks[q]` dequantized with `dq`'s
+/// step, widened in registers and never stored (see the module docs).
+///
+/// # Panics
+///
+/// When `variant` has no such kernel ([`fuses`]), `acc` holds no row or
+/// `MR` or more, `blocks` no panel or more than `GQ`, a block fewer than
+/// `depth` rows, or `a` fewer than `(acc.len() - 1) * lda + depth` values.
+pub(crate) fn mac_rows(
+    variant: GemmVariant,
+    dq: &Dequant,
+    a: &[f32],
+    lda: usize,
+    blocks: &[FullRows<'_>],
+    depth: usize,
+    acc: &mut [GroupAcc],
+) {
+    let (rows, panels) = (acc.len(), blocks.len());
+    assert!(
+        (1..MR).contains(&rows)
+            && (1..=GQ).contains(&panels)
+            && blocks
+                .iter()
+                .all(|b| b.codes.len() >= depth * NR && b.signs.len() >= 2 * depth)
+            && (depth == 0 || a.len() >= (rows - 1) * lda + depth),
+        "mac_rows operands out of bounds: {rows} rows, {panels} panels, depth {depth}"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        let mut codes = [std::ptr::null(); GQ];
+        let mut signs = [std::ptr::null(); GQ];
+        for (q, b) in blocks.iter().enumerate() {
+            codes[q] = b.codes.as_ptr();
+            signs[q] = b.signs.as_ptr();
+        }
+        let (a, acc) = (a.as_ptr(), acc.as_mut_ptr());
+        let step = dq.step;
+        // One monomorphized kernel per (rows, panels), so every
+        // accumulator is a named register.
+        macro_rules! by_shape {
+            ($kernel:ident) => {
+                match (rows, panels) {
+                    (1, 1) => x86::$kernel::<1, 1>(step, a, lda, &codes, &signs, depth, acc),
+                    (1, 2) => x86::$kernel::<1, 2>(step, a, lda, &codes, &signs, depth, acc),
+                    (1, 3) => x86::$kernel::<1, 3>(step, a, lda, &codes, &signs, depth, acc),
+                    (1, _) => x86::$kernel::<1, 4>(step, a, lda, &codes, &signs, depth, acc),
+                    (2, 1) => x86::$kernel::<2, 1>(step, a, lda, &codes, &signs, depth, acc),
+                    (2, 2) => x86::$kernel::<2, 2>(step, a, lda, &codes, &signs, depth, acc),
+                    (2, 3) => x86::$kernel::<2, 3>(step, a, lda, &codes, &signs, depth, acc),
+                    (2, _) => x86::$kernel::<2, 4>(step, a, lda, &codes, &signs, depth, acc),
+                    (_, 1) => x86::$kernel::<3, 1>(step, a, lda, &codes, &signs, depth, acc),
+                    (_, 2) => x86::$kernel::<3, 2>(step, a, lda, &codes, &signs, depth, acc),
+                    (_, 3) => x86::$kernel::<3, 3>(step, a, lda, &codes, &signs, depth, acc),
+                    (_, _) => x86::$kernel::<3, 4>(step, a, lda, &codes, &signs, depth, acc),
+                }
+            };
+        }
+        match variant {
+            // SAFETY: the assert above bounds every row of `a`, every
+            // block's codes and sign bytes and every accumulator the
+            // kernel touches (`rows < MR = 4`, `panels <= GQ = 4`); the
+            // tier's ISA was checked when it was chosen.
+            GemmVariant::Avx512 => unsafe { by_shape!(mac_rows_avx512) },
+            // SAFETY: as above.
+            GemmVariant::Avx2 => unsafe { by_shape!(mac_rows_avx2) },
+            GemmVariant::Scalar => unreachable!("the scalar tier has no register-fused kernel"),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("{} has no register-fused kernel", variant.name());
+}
+
 /// The bounds every tier relies on, for `dst_rows` output rows of `NR`
 /// lanes. Checked arithmetic, so no product can wrap past a check.
 fn check_operands(
@@ -268,7 +439,7 @@ fn check_operands(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! SIMD emitters over full-width (`NR`-lane) rows.
-    use super::NR;
+    use super::{GroupAcc, GQ, NR};
     use std::arch::x86_64::*;
 
     /// `rows` rows of `f32` values: `vpmovzxbd`, `vcvtdq2ps`, `vmulps` by
@@ -289,15 +460,87 @@ mod x86 {
         dst: &mut [f32],
     ) {
         let stepv = _mm512_set1_ps(step);
-        let sign = _mm512_set1_epi32(i32::MIN);
         let (c, s, d) = (codes.as_ptr(), signs.as_ptr().add(e0 / 8), dst.as_mut_ptr());
         for r in 0..rows {
-            let bytes = _mm_loadu_si128(c.add(r * NR).cast());
-            let mag = _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(bytes)), stepv);
-            let mask = s.add(r * NR / 8).cast::<u16>().read_unaligned();
-            let bits = _mm512_castps_si512(mag);
-            let v = _mm512_mask_xor_epi32(bits, u16::from_le(mask), bits, sign);
-            _mm512_storeu_ps(d.add(r * NR), _mm512_castsi512_ps(v));
+            _mm512_storeu_ps(
+                d.add(r * NR),
+                widen_avx512(c.add(r * NR), s.add(r * NR / 8), stepv),
+            );
+        }
+    }
+
+    /// One full row of values: the 16 codes at `c` through `vpmovzxbd`,
+    /// `vcvtdq2ps` and `vmulps` by the step, the sign bit XORed in under
+    /// the row's sign mask (the `u16` at `s`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU has AVX-512F, `c` points to 16 readable codes and `s` to 2
+    /// readable sign bytes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn widen_avx512(c: *const u8, s: *const u8, stepv: __m512) -> __m512 {
+        let bytes = _mm_loadu_si128(c.cast());
+        let mag = _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(bytes)), stepv);
+        let mask = u16::from_le(s.cast::<u16>().read_unaligned());
+        let bits = _mm512_castps_si512(mag);
+        let v = _mm512_mask_xor_epi32(bits, mask, bits, _mm512_set1_epi32(i32::MIN));
+        _mm512_castsi512_ps(v)
+    }
+
+    /// [`super::mac_rows`] for `R` rows over `Q` panels: each depth row's
+    /// values widened by [`widen_avx512`], then `c = c + a * v` per row
+    /// (`vmulps`, `vaddps`, never fused) into `R * Q` independent
+    /// accumulators.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has AVX-512F; `a` is readable at `r * lda + kk`, `codes[q]`
+    /// at `kk * NR..(kk + 1) * NR`, `signs[q]` at `2 * kk..2 * kk + 2` and
+    /// `acc` is valid for `R` accumulator rows, for `r < R`, `q < Q`,
+    /// `kk < depth`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn mac_rows_avx512<const R: usize, const Q: usize>(
+        step: f32,
+        a: *const f32,
+        lda: usize,
+        codes: &[*const u8; GQ],
+        signs: &[*const u8; GQ],
+        depth: usize,
+        acc: *mut GroupAcc,
+    ) {
+        let stepv = _mm512_set1_ps(step);
+        let mut c = [[_mm512_setzero_ps(); Q]; R];
+        for (r, cr) in c.iter_mut().enumerate() {
+            for (cq, row) in cr.iter_mut().zip(&*acc.add(r)) {
+                *cq = _mm512_loadu_ps(row.as_ptr());
+            }
+        }
+        for kk in 0..depth {
+            let mut av = [0.0f32; R];
+            for (r, x) in av.iter_mut().enumerate() {
+                *x = *a.add(r * lda + kk);
+            }
+            if av.iter().all(|&x| x == 0.0) {
+                continue;
+            }
+            let mut v = [_mm512_setzero_ps(); Q];
+            for (q, vq) in v.iter_mut().enumerate() {
+                *vq = widen_avx512(codes[q].add(kk * NR), signs[q].add(2 * kk), stepv);
+            }
+            for (cr, &x) in c.iter_mut().zip(&av) {
+                if x != 0.0 {
+                    let ar = _mm512_set1_ps(x);
+                    for (cq, &vq) in cr.iter_mut().zip(&v) {
+                        *cq = _mm512_add_ps(*cq, _mm512_mul_ps(ar, vq));
+                    }
+                }
+            }
+        }
+        for (r, cr) in c.iter().enumerate() {
+            for (row, &cq) in (*acc.add(r)).iter_mut().zip(cr) {
+                _mm512_storeu_ps(row.as_mut_ptr(), cq);
+            }
         }
     }
 
@@ -319,17 +562,87 @@ mod x86 {
         dst: &mut [f32],
     ) {
         let stepv = _mm256_set1_ps(step);
-        let lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
         let (c, s, d) = (codes.as_ptr(), signs.as_ptr().add(e0 / 8), dst.as_mut_ptr());
-        for r in 0..rows {
-            for half in 0..2 {
-                let i = r * NR + half * 8;
-                let bytes = _mm_loadl_epi64(c.add(i).cast());
-                let mag = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes)), stepv);
-                let byte = _mm256_set1_epi32(i32::from(*s.add(i / 8)));
-                let set = _mm256_cmpeq_epi32(_mm256_and_si256(byte, lane_bit), lane_bit);
-                let v = _mm256_xor_si256(_mm256_castps_si256(mag), _mm256_slli_epi32::<31>(set));
-                _mm256_storeu_ps(d.add(i), _mm256_castsi256_ps(v));
+        for i in (0..rows * NR).step_by(8) {
+            _mm256_storeu_ps(d.add(i), widen_avx2(c.add(i), *s.add(i / 8), stepv));
+        }
+    }
+
+    /// Half a row of values: the 8 codes at `c` through `vpmovzxbd`,
+    /// `vcvtdq2ps` and `vmulps` by the step, the sign bit XORed in where
+    /// the matching bit of `signs` is set.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has AVX2 and `c` points to 8 readable codes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn widen_avx2(c: *const u8, signs: u8, stepv: __m256) -> __m256 {
+        let lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+        let bytes = _mm_loadl_epi64(c.cast());
+        let mag = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes)), stepv);
+        let byte = _mm256_set1_epi32(i32::from(signs));
+        let set = _mm256_cmpeq_epi32(_mm256_and_si256(byte, lane_bit), lane_bit);
+        let v = _mm256_xor_si256(_mm256_castps_si256(mag), _mm256_slli_epi32::<31>(set));
+        _mm256_castsi256_ps(v)
+    }
+
+    /// AVX2 twin of [`mac_rows_avx512`]: two 8-lane halves per panel,
+    /// each widened by [`widen_avx2`].
+    ///
+    /// # Safety
+    ///
+    /// As [`mac_rows_avx512`], with AVX2 in place of AVX-512F.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn mac_rows_avx2<const R: usize, const Q: usize>(
+        step: f32,
+        a: *const f32,
+        lda: usize,
+        codes: &[*const u8; GQ],
+        signs: &[*const u8; GQ],
+        depth: usize,
+        acc: *mut GroupAcc,
+    ) {
+        let stepv = _mm256_set1_ps(step);
+        let mut c = [[[_mm256_setzero_ps(); 2]; Q]; R];
+        for (r, cr) in c.iter_mut().enumerate() {
+            for (cq, row) in cr.iter_mut().zip(&*acc.add(r)) {
+                *cq = [
+                    _mm256_loadu_ps(row.as_ptr()),
+                    _mm256_loadu_ps(row.as_ptr().add(8)),
+                ];
+            }
+        }
+        for kk in 0..depth {
+            let mut av = [0.0f32; R];
+            for (r, x) in av.iter_mut().enumerate() {
+                *x = *a.add(r * lda + kk);
+            }
+            if av.iter().all(|&x| x == 0.0) {
+                continue;
+            }
+            let mut v = [[_mm256_setzero_ps(); 2]; Q];
+            for (q, vq) in v.iter_mut().enumerate() {
+                let (c, s) = (codes[q].add(kk * NR), signs[q].add(2 * kk));
+                *vq = [
+                    widen_avx2(c, *s, stepv),
+                    widen_avx2(c.add(8), *s.add(1), stepv),
+                ];
+            }
+            for (cr, &x) in c.iter_mut().zip(&av) {
+                if x != 0.0 {
+                    let ar = _mm256_set1_ps(x);
+                    for (cq, vq) in cr.iter_mut().zip(&v) {
+                        cq[0] = _mm256_add_ps(cq[0], _mm256_mul_ps(ar, vq[0]));
+                        cq[1] = _mm256_add_ps(cq[1], _mm256_mul_ps(ar, vq[1]));
+                    }
+                }
+            }
+        }
+        for (r, cr) in c.iter().enumerate() {
+            for (row, cq) in (*acc.add(r)).iter_mut().zip(cr) {
+                _mm256_storeu_ps(row.as_mut_ptr(), cq[0]);
+                _mm256_storeu_ps(row.as_mut_ptr().add(8), cq[1]);
             }
         }
     }

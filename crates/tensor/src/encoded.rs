@@ -60,7 +60,7 @@
 
 use std::ops::Range;
 
-use crate::emit::{self, dequant_run, Dequant};
+use crate::emit::{self, dequant_run, Dequant, FullRows, Padded};
 use crate::gemm::{GemmVariant, IntVariant, KC, NR};
 use crate::quantize::{self, MagnitudeScale};
 use crate::{ShapeError, Tensor};
@@ -355,6 +355,11 @@ impl EncodedMatrix {
         self.resident_bytes() as f64 / self.dense_bytes() as f64
     }
 
+    /// The dequantization every panel shares.
+    pub(crate) fn dequant(&self) -> &Dequant {
+        &self.dequant
+    }
+
     /// A decoder over panel `p` for the fused GEMM packer. The container
     /// was validated when the matrix was built, so decoding cannot fail.
     pub(crate) fn panel_decoder(&self, p: usize) -> PanelDecoder<'_> {
@@ -632,6 +637,31 @@ impl<'a> PanelDecoder<'a> {
         let e0 = self.next_block(rows * w)?;
         emit::emit_pairs(variant, &self.codes, self.signs, e0, rows, w, dst);
         Ok(())
+    }
+
+    /// Decodes the next `rows` depth-rows of a `w`-wide panel into the
+    /// code buffer, for [`Self::full_rows`] or [`Self::padded_rows`] to
+    /// hand to [`emit::mac_rows`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::decode_rows`].
+    pub(crate) fn advance(&mut self, rows: usize, w: usize) -> Result<(), EncodedError> {
+        self.next_block(rows * w).map(drop)
+    }
+
+    /// The block the last [`Self::advance`] decoded, read in place: the
+    /// panel is full-width, so its rows are already `NR` codes wide.
+    pub(crate) fn full_rows(&self) -> FullRows<'_> {
+        let e0 = self.emitted - self.block;
+        FullRows::in_place(&self.codes[..self.block], self.signs, e0)
+    }
+
+    /// The block the last [`Self::advance`] decoded from a `w`-wide
+    /// (ragged) panel, widened into `pad`.
+    pub(crate) fn padded_rows<'p>(&self, w: usize, pad: &'p mut Padded) -> FullRows<'p> {
+        let rows = self.block / w;
+        pad.widen(&self.codes, self.signs, self.emitted - self.block, rows, w)
     }
 
     /// Claims the next `count` elements, leaves their codes in

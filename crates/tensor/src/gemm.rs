@@ -42,6 +42,31 @@
 //! retained reference over random ragged shapes for every available
 //! dispatch variant.
 //!
+//! # Fan-out
+//!
+//! Products of at least `PAR_MIN_MACS` multiply-accumulates fan out over
+//! `spark_util::par`: the dense engine splits `MR`-aligned row blocks
+//! ([`spark_util::par::par_chunks_mut`]), the decode-fused engines split
+//! `GQ`-panel groups ([`spark_util::par::par_map`]), so a GEMV fans out
+//! too and each panel is still decoded by exactly one thread. Both run on
+//! the process's pool of parked helpers: a fan-out wakes the idle ones
+//! and every thread claims groups (or row blocks) from a shared index, so
+//! a helper that wakes late takes less work rather than stalling the call,
+//! and no thread is spawned per call. A GEMM issued from inside another
+//! fan-out runs on its own thread. Which thread computes a group never
+//! changes its bits.
+//!
+//! # Below `MR` rows
+//!
+//! On the SIMD tiers a decode-fused call with `m < MR` never writes an
+//! `f32` panel: [`crate::emit`]'s `mac_rows` reads each depth row's `NR`
+//! codes straight from the panel decoder's buffer, widens them in
+//! registers with the operand emitter's own expression and multiplies
+//! them into one accumulator per (row, panel) of the group — `GQ`
+//! independent chains at `m = 1`. Each lane keeps the schedule above, so
+//! the output is the scalar tier's (emit into a panel, then the
+//! single-row micro-kernel, kept as the oracle) to the bit.
+//!
 //! # Blocking scheme
 //!
 //! `B` is processed in `NR`-wide column panels; rows of `A` are processed
@@ -93,6 +118,7 @@
 //! scalar reference and the auto path to within a relative L2 of `1e-3`
 //! per row of the `f32` oracle.
 
+use crate::emit::{self, FullRows, Padded};
 use crate::encoded::{EncodedError, EncodedMatrix};
 use crate::ops::apply_epilogue;
 
@@ -107,13 +133,13 @@ pub const MR: usize = 4;
 pub const KC: usize = 128;
 /// Panels per group in the decode-fused engine — matches the four-panel
 /// column blocks of the AVX-512 steady-state kernel.
-const GQ: usize = 4;
+pub(crate) const GQ: usize = 4;
 
 /// Below this many multiply-accumulates the blocked machinery costs more
 /// than it saves; [`gemm_auto`] routes such calls to the reference loops.
 const TURBO_MIN_MACS: usize = 1024;
-/// Minimum multiply-accumulates before row-parallel fan-out pays for the
-/// thread spawns.
+/// Minimum multiply-accumulates before a fan-out pays for waking a pool
+/// helper (see the module docs); `/v1/infer`'s GEMVs stay below it.
 const PAR_MIN_MACS: usize = 1 << 21;
 
 /// Runtime-dispatched kernel tiers, mirroring the engine-variant pattern of
@@ -330,6 +356,9 @@ pub(crate) fn gemm_auto(
 /// Runs the blocked kernels under an explicit dispatch `variant` (no tiny-
 /// size fallback), for differential tests and benchmarks. Output is
 /// bit-identical across variants and to the reference kernel.
+// The BLAS-style argument list (tier, layout, two operands, three dims,
+// epilogue): bundling it into a struct would only rename it at every call.
+#[allow(clippy::too_many_arguments)]
 pub fn gemm_with(
     variant: GemmVariant,
     layout: Layout,
@@ -351,6 +380,8 @@ fn auto_workers(m: usize, k: usize, n: usize) -> usize {
     t.min(m / MR)
 }
 
+// As `gemm_with`, plus the worker count.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_impl(
     variant: GemmVariant,
     layout: Layout,
@@ -380,7 +411,7 @@ pub(crate) fn gemm_impl(
         // row tiles where in-place strided reads would stream from L2).
         Layout::Nt => BPlan::Packed(pack_b_transposed(b, k, n)),
         Layout::Nn | Layout::Tn => {
-            if (m >= 2 * MR && (k * n >= 4096 || (n % NR != 0 && n > NR))) || k * n >= (1 << 18) {
+            if (m >= 2 * MR && (k * n >= 4096 || (!n.is_multiple_of(NR) && n > NR))) || k * n >= (1 << 18) {
                 BPlan::Packed(pack_b_rowmajor(b, k, n))
             } else {
                 BPlan::Direct
@@ -604,27 +635,22 @@ fn run_rows(
                         _ => mac4_scalar(abase, astride, bpanel, bstride, k, &mut acc),
                     }
                 } else {
-                    for r in 0..rows {
+                    for (r, accr) in acc.iter_mut().enumerate().take(rows) {
                         let arow = abase.add(r * astride.row);
                         match variant {
                             GemmVariant::Scalar => {
-                                mac1_scalar(arow, astride.step, bpanel, bstride, k, &mut acc[r])
+                                mac1_scalar(arow, astride.step, bpanel, bstride, k, accr)
                             }
                             #[cfg(target_arch = "x86_64")]
                             GemmVariant::Avx2 => {
-                                x86::mac1_avx2(arow, astride.step, bpanel, bstride, k, &mut acc[r])
+                                x86::mac1_avx2(arow, astride.step, bpanel, bstride, k, accr)
                             }
                             #[cfg(target_arch = "x86_64")]
-                            GemmVariant::Avx512 => x86::mac1_avx512(
-                                arow,
-                                astride.step,
-                                bpanel,
-                                bstride,
-                                k,
-                                &mut acc[r],
-                            ),
+                            GemmVariant::Avx512 => {
+                                x86::mac1_avx512(arow, astride.step, bpanel, bstride, k, accr)
+                            }
                             #[cfg(not(target_arch = "x86_64"))]
-                            _ => mac1_scalar(arow, astride.step, bpanel, bstride, k, &mut acc[r]),
+                            _ => mac1_scalar(arow, astride.step, bpanel, bstride, k, accr),
                         }
                     }
                 }
@@ -941,6 +967,9 @@ fn fused_group(
     g: usize,
     epi: Epilogue<'_>,
 ) -> Result<Vec<f32>, EncodedError> {
+    if m < MR && emit::fuses(variant) {
+        return fused_rows_group(variant, a, b, m, g, epi);
+    }
     let k = b.k();
     let p0 = g * GQ;
     let p1 = (p0 + GQ).min(b.panels());
@@ -1124,6 +1153,62 @@ fn fused_group(
     // container with excess payload fails here, typed.
     for dec in &decs {
         dec.finish()?;
+    }
+    Ok(stripe)
+}
+
+/// [`fused_group`] below `MR` rows on a tier that [`emit::fuses`]: each
+/// `KC`-deep block's codes go from the panel decoders' buffers straight
+/// into [`emit::mac_rows`], which widens them in registers. Its
+/// accumulators carry over from block to block, so no `f32` panel, scratch
+/// buffer or parked partial exists, and the epilogue fires once, at the
+/// end. Each output element sees the same multiply-then-add chain in
+/// ascending `k` as the panel path, so the result is the same to the bit.
+fn fused_rows_group(
+    variant: GemmVariant,
+    a: &[f32],
+    b: &EncodedMatrix,
+    m: usize,
+    g: usize,
+    epi: Epilogue<'_>,
+) -> Result<Vec<f32>, EncodedError> {
+    let k = b.k();
+    let p0 = g * GQ;
+    let p1 = (p0 + GQ).min(b.panels());
+    let gp = p1 - p0;
+    let last_w = b.panel_width(p1 - 1);
+    let gw = (gp - 1) * NR + last_w;
+    // Only the matrix's last panel can be ragged; its blocks are widened
+    // into a zero-padded copy.
+    let full = if last_w < NR { gp - 1 } else { gp };
+    let mut pad = (full < gp).then(Padded::default);
+    let mut decs: Vec<_> = (p0..p1).map(|p| b.panel_decoder(p)).collect();
+    let mut acc = [[[0.0f32; NR]; GQ]; MR - 1];
+    let acc = &mut acc[..m];
+    let mut kb = 0;
+    while kb < k {
+        let depth = KC.min(k - kb);
+        for (p, dec) in (p0..).zip(decs.iter_mut()) {
+            dec.advance(depth, b.panel_width(p))?;
+        }
+        let mut blocks = [FullRows::default(); GQ];
+        for (block, dec) in blocks.iter_mut().zip(&decs[..full]) {
+            *block = dec.full_rows();
+        }
+        if let Some(pad) = pad.as_mut() {
+            blocks[full] = decs[full].padded_rows(last_w, pad);
+        }
+        emit::mac_rows(variant, b.dequant(), &a[kb..], k, &blocks[..gp], depth, acc);
+        kb += depth;
+    }
+    for dec in &decs {
+        dec.finish()?;
+    }
+    let mut stripe = vec![0.0f32; m * gw];
+    for (row, accr) in stripe.chunks_exact_mut(gw).zip(acc.iter()) {
+        for (q, (orow, accq)) in row.chunks_mut(NR).zip(accr).enumerate() {
+            store_stripe(orow, accq, (p0 + q) * NR, true, epi);
+        }
     }
     Ok(stripe)
 }
@@ -2010,6 +2095,63 @@ mod tests {
                 let dense = gemm_with(v, Layout::Nn, &a, &decoded, m, k, n, Epilogue::None);
                 assert_bits_eq(&fused, &want, &format!("fused/ref {} {m}x{k}x{n}", v.name()));
                 assert_bits_eq(&fused, &dense, &format!("fused/dense {} {m}x{k}x{n}", v.name()));
+            }
+        }
+    }
+
+    /// Activations of `m x k` with exact zeros, `-0.0` and subnormals of
+    /// both signs among uniform values in `[-1, 1)`.
+    fn edge_activations(m: usize, k: usize, seed: u64) -> Vec<f32> {
+        let mut rng = Rng::seed_from_u64(seed);
+        (0..m * k)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => {
+                    let tiny = f32::from_bits(rng.gen_range(1..0x0080_0000) as u32);
+                    if rng.gen_f64() < 0.5 {
+                        -tiny
+                    } else {
+                        tiny
+                    }
+                }
+                _ => (rng.gen_f64() as f32) * 2.0 - 1.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fused_rows_kernel_is_bit_identical_on_every_tier() {
+        // Below MR rows every SIMD tier widens codes in registers
+        // (`emit::mac_rows`); the scalar tier emits f32 panels for the
+        // single-row micro-kernel and is the oracle. Depths straddle the
+        // KC block, widths cover ragged panels of every width and partial
+        // panel groups.
+        let ks = [0, 1, KC - 1, KC, KC + 1, 2 * KC + 3];
+        let ns: Vec<usize> = (1..=17).chain([63, 64, 65, 3072]).collect();
+        for (ki, &k) in ks.iter().enumerate() {
+            for (ni, &n) in ns.iter().enumerate() {
+                let (em, decoded) = encoded_operand(k, n, (ki * 100 + ni) as u64);
+                let bias: Vec<f32> = (0..n).map(|j| (j as f32) * 0.125 - 1.0).collect();
+                for m in 1..MR {
+                    let a = edge_activations(m, k, (m * 10_000 + ki * 100 + ni) as u64);
+                    for (epi, name) in [
+                        (Epilogue::None, "none"),
+                        (Epilogue::BiasRelu(&bias), "bias_relu"),
+                    ] {
+                        let ctx = format!("{m}x{k}x{n} {name}");
+                        let oracle =
+                            gemm_encoded_with(GemmVariant::Scalar, &a, &em, m, epi).unwrap();
+                        let want = reference(Layout::Nn, &a, &decoded, m, k, n, epi);
+                        assert_bits_eq(&oracle, &want, &format!("scalar/reference {ctx}"));
+                        for v in GemmVariant::available() {
+                            let fused = gemm_encoded_with(v, &a, &em, m, epi).unwrap();
+                            assert_bits_eq(&fused, &oracle, &format!("{}/scalar {ctx}", v.name()));
+                            let dense = gemm_with(v, Layout::Nn, &a, &decoded, m, k, n, epi);
+                            assert_bits_eq(&fused, &dense, &format!("{}/dense {ctx}", v.name()));
+                        }
+                    }
+                }
             }
         }
     }

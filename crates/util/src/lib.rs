@@ -10,9 +10,10 @@
 //!   (replaces `rand_distr`);
 //! - [`fnv`] — the workspace's one FNV-1a 64 implementation (container
 //!   checksums, tenant placement, schedule digests, store framing);
-//! - [`par`] — scoped-thread [`par::par_map`], two-way [`par::join`], and
-//!   a bounded MPMC [`par::channel`] for coarse data-parallel sweeps and
-//!   the serving job queue (replaces `rayon` / `crossbeam-channel`);
+//! - [`par`] — [`par::par_map`], [`par::par_chunks_mut`] and two-way
+//!   [`par::join`] over one process-wide pool of parked helper threads,
+//!   and a bounded MPMC [`par::channel`] for the serving job queue
+//!   (replaces `rayon` / `crossbeam-channel`);
 //! - [`hist`] — a lock-free log-bucketed [`hist::Histogram`] for request
 //!   latency and batch-size metrics (replaces `hdrhistogram`);
 //! - [`json`] — a minimal JSON [`json::Value`] with serializer, parser and

@@ -74,6 +74,10 @@ echo "==> decode-fused GEMM bench -> BENCH_fused.json"
 # is the whole EncodedMatrix::encode of that BERT-profile 768x3072
 # weight per value: it must stay under 8 ns and at most 2x the value in
 # the committed BENCH_fused.json, read before the bench overwrites it.
+# fanout_2_us is one par_map over two trivial items (best batch mean):
+# the fixed cost every parallel GEMM call pays. A scoped thread spawned
+# per call cost 23-25 us on a 2-vCPU host and the parked pool ~0.3 us, so
+# the 10 us bound catches a fan-out that spawns or waits for a thread.
 committed_encode=$(git show HEAD:BENCH_fused.json 2>/dev/null | awk '/"encode_ns_val"/ {
     gsub(/[",]/, ""); print $2 + 0; exit
 }')
@@ -90,6 +94,9 @@ if [ -n "$committed_encode" ]; then
 else
     echo "note: the committed BENCH_fused.json has no encode_ns_val yet; only the 8 ns bound applies"
 fi
+awk '/"fanout_2_us"/ {
+    gsub(/[",]/, ""); if ($2 + 0 > 10.0) { exit 1 } else { found = 1 }
+} END { exit found ? 0 : 1 }' BENCH_fused.json || fail "BENCH_fused.json: a two-item fan-out costs more than 10 us"
 grep -Eq '"fused_gflops": *[0-9]' BENCH_fused.json || fail "BENCH_fused.json missing a numeric fused_gflops"
 awk '/"weight_bytes_ratio"/ {
     gsub(/[",]/, ""); if ($2 + 0 > 0.55) { exit 1 } else { found = 1 }
